@@ -362,17 +362,16 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 				}
 			}
 			if memo != nil {
-				if res, ok := memo.Lookup(fp); ok {
+				res, hit := memo.Do(fp, func() vproc.Result {
+					cMisses.Inc()
+					opts.Metrics.Emit("classify.memo.miss", uint64(w.race))
+					return vproc.AnalyzeScratch(exec, pair, vopts, &scratches[wk])
+				})
+				if hit {
 					cHits.Inc()
 					opts.Metrics.Emit("classify.memo.hit", uint64(w.race))
 					countCachedReplay(opts.Metrics, res)
-					results[w.race][w.inst] = res
-					return nil
 				}
-				cMisses.Inc()
-				opts.Metrics.Emit("classify.memo.miss", uint64(w.race))
-				res := vproc.AnalyzeScratch(exec, pair, vopts, &scratches[wk])
-				memo.Store(fp, res)
 				results[w.race][w.inst] = res
 				return nil
 			}
@@ -615,11 +614,5 @@ func Merge(parts ...*Classification) *Classification {
 }
 
 func sortRaces(races []*RaceResult) {
-	sort.Slice(races, func(i, j int) bool {
-		a, b := races[i].Sites, races[j].Sites
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	sort.Slice(races, func(i, j int) bool { return races[i].Sites.Less(races[j].Sites) })
 }

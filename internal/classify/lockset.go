@@ -57,74 +57,52 @@ type LocksetTriage struct {
 // either proven ordered (no race — the warning is a false positive for
 // that pair) or replayed in both orders and classified.
 func TriageLockset(exec *replay.Execution, rep *lockset.Report, opts Options) []LocksetTriage {
-	// Group the execution's accesses by address once.
-	type ref struct {
-		acc replay.Access
-		reg *replay.Region
-	}
-	byAddr := make(map[uint64][]ref)
-	for _, reg := range exec.Regions {
-		for _, acc := range reg.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			byAddr[acc.Addr] = append(byAddr[acc.Addr], ref{acc, reg})
-		}
-	}
-
+	x := hb.NewIndex(exec)
 	var vopts vproc.Options
 	if opts.UseOracle {
 		vopts.Oracle = replay.BuildVersionedMemory(exec)
 	}
 
 	var out []LocksetTriage
+	var scratch hb.GroupScratch
 	for _, w := range rep.Warnings {
 		tr := LocksetTriage{Warning: w}
-		refs := byAddr[w.Addr]
-		// One representative pair per (region pair): the same dedup the
-		// happens-before detector applies.
-		type pairKey struct{ a, b int }
-		seen := make(map[pairKey]bool)
-		var pairs []hb.Instance
-		for i := 0; i < len(refs); i++ {
-			for j := i + 1; j < len(refs); j++ {
-				a, b := refs[i], refs[j]
-				if a.reg.TID == b.reg.TID {
-					continue
-				}
-				if !a.acc.IsWrite && !b.acc.IsWrite {
-					continue
-				}
-				if !a.reg.Overlaps(b.reg) {
-					tr.OrderedPairs++
-					continue
-				}
-				k := pairKey{a.reg.Global, b.reg.Global}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				pairs = append(pairs, hb.Instance{
-					First: a.acc, Second: b.acc,
-					RegionA: a.reg, RegionB: b.reg, Addr: w.Addr,
-				})
-			}
+		// An address the index screened out has no cross-thread conflict
+		// to order or replay.
+		var groups []hb.Group
+		if i, ok := x.Find(w.Addr); ok {
+			groups = x.Groups(i, &scratch)
 		}
-		for _, inst := range pairs {
-			res := vproc.AnalyzeOpts(exec, vproc.RacePair{
-				RegionA: inst.RegionA, RegionB: inst.RegionB,
-				IdxA: inst.First.Idx, IdxB: inst.Second.Idx,
-				PCA: inst.First.PC, PCB: inst.Second.PC,
-				Addr: inst.Addr,
-			}, vopts)
-			tr.RacyInstances++
-			switch res.Outcome {
-			case vproc.NoStateChange:
-				tr.NSC++
-			case vproc.StateChange:
-				tr.SC++
-			default:
-				tr.RF++
+		for i := 0; i < len(groups); i++ {
+			for j := i + 1; j < len(groups); j++ {
+				ga, gb := &groups[i], &groups[j]
+				if ga.Reg.TID == gb.Reg.TID {
+					continue
+				}
+				if !ga.Reg.Overlaps(gb.Reg) {
+					// Every conflicting access pair of the two regions.
+					tr.OrderedPairs += len(ga.Writes)*len(gb.Refs) + len(ga.Reads)*len(gb.Writes)
+					continue
+				}
+				// One representative pair per region pair, the first
+				// conflicting one in access order: the same dedup the
+				// happens-before detector applies.
+				a, b, ok := firstConflict(ga.Refs, gb.Refs)
+				if !ok {
+					continue
+				}
+				res := vproc.AnalyzeOpts(exec, racePair(hb.Instance{
+					First: a, Second: b, RegionA: ga.Reg, RegionB: gb.Reg, Addr: w.Addr,
+				}), vopts)
+				tr.RacyInstances++
+				switch res.Outcome {
+				case vproc.NoStateChange:
+					tr.NSC++
+				case vproc.StateChange:
+					tr.SC++
+				default:
+					tr.RF++
+				}
 			}
 		}
 		switch {
@@ -139,4 +117,17 @@ func TriageLockset(exec *replay.Execution, rep *lockset.Report, opts Options) []
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Warning.Addr < out[j].Warning.Addr })
 	return out
+}
+
+// firstConflict returns the first pair (a from as, b from bs), in access
+// order, of which at least one is a write.
+func firstConflict(as, bs []hb.Ref) (a, b replay.Access, ok bool) {
+	for _, ra := range as {
+		for _, rb := range bs {
+			if ra.Acc.IsWrite || rb.Acc.IsWrite {
+				return ra.Acc, rb.Acc, true
+			}
+		}
+	}
+	return a, b, false
 }

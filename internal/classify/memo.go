@@ -3,6 +3,7 @@ package classify
 import (
 	"encoding/binary"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -16,15 +17,18 @@ import (
 // Diffs} verbatim and skips both region replays.
 //
 // The cache is sharded and concurrency-safe: the classification workers
-// of one Run share it without coordination beyond a per-shard mutex,
-// and one Memo can be shared across executions (core.AnalyzeLogs wires
-// one per batch) — fingerprints are content hashes, so instances from
-// different executions of the same program collide exactly when their
-// replay inputs are identical. Entries are never invalidated: a
-// fingerprint covers everything the replay can observe, so a cached
-// result cannot go stale (docs/PERFORMANCE.md spells out the
-// invariant). Concurrent misses on the same fingerprint may both
-// compute; both compute the same result and the first writer wins.
+// of one Run share it (a hit takes one per-shard mutex, a miss also a
+// brief lock on the in-flight table), and one Memo can be shared across
+// executions (core.AnalyzeLogs wires one per batch) — fingerprints are
+// content hashes, so instances from different executions of the same
+// program collide exactly when their replay inputs are identical.
+// Entries are never invalidated: a fingerprint covers everything the
+// replay can observe, so a cached result cannot go stale
+// (docs/PERFORMANCE.md spells out the invariant). Do computes each
+// fingerprint at most once: concurrent misses on one fingerprint share a
+// single in-flight computation, and the callers that waited for it count
+// as hits. So the miss count is the number of distinct fingerprints
+// computed, whatever the scheduling.
 //
 // A Memo can additionally be backed by a second-level persistent cache
 // (NewMemoBacked): lookups that miss in memory fall through to the
@@ -35,6 +39,8 @@ import (
 type Memo struct {
 	m       *sched.ShardedMap[vproc.Fingerprint, vproc.Result]
 	backing Backing
+	mu      sync.Mutex                          // guards flights
+	flights map[vproc.Fingerprint]chan struct{} // closed when the computation ends
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	bytes   atomic.Uint64
@@ -73,6 +79,7 @@ func NewMemo() *Memo {
 			// Fingerprints are uniform sha256 digests; any 8 bytes shard evenly.
 			return binary.LittleEndian.Uint64(k[:8])
 		}),
+		flights: make(map[vproc.Fingerprint]chan struct{}),
 	}
 }
 
@@ -86,26 +93,62 @@ func NewMemoBacked(b Backing) *Memo {
 	return m
 }
 
-// Lookup returns the cached result for fp, counting the hit or miss.
-// With a backing attached, an in-memory miss consults it before being
-// declared a miss.
-func (m *Memo) Lookup(fp vproc.Fingerprint) (vproc.Result, bool) {
-	res, ok := m.m.Load(fp)
-	if ok {
-		m.hits.Add(1)
-		return res, true
-	}
-	if m.backing != nil {
-		if res, ok := m.backing.Get(fp); ok {
-			// Promote without writing back: the backing already holds
-			// the entry, so only the in-memory layer needs it.
-			m.storeLocal(fp, res)
+// Do returns fp's cached result, or computes, caches and returns it. At
+// most one computation per fingerprint runs at a time: callers that miss
+// while another caller computes the same fingerprint wait for it and
+// take its result. hit is false only for the call whose compute produced
+// the result; a backing hit or a result taken from another caller's
+// computation is a hit. If compute panics, the panic propagates to its
+// caller and one of the waiting callers computes instead.
+func (m *Memo) Do(fp vproc.Fingerprint, compute func() vproc.Result) (vproc.Result, bool) {
+	for {
+		if res, ok := m.m.Load(fp); ok {
 			m.hits.Add(1)
 			return res, true
 		}
+		// A leader caches its result before retiring its flight, so
+		// under mu a fingerprint is cached, in flight, or neither.
+		m.mu.Lock()
+		res, cached := m.m.Load(fp)
+		done, waiting := m.flights[fp]
+		if !cached && !waiting {
+			m.flights[fp] = make(chan struct{})
+		}
+		m.mu.Unlock()
+		switch {
+		case cached:
+			m.hits.Add(1)
+			return res, true
+		case !waiting:
+			return m.lead(fp, compute)
+		}
+		<-done
 	}
-	m.misses.Add(1)
-	return res, false
+}
+
+// lead computes fp — from the backing when it has the entry — then
+// retires fp's flight, waking its waiters.
+func (m *Memo) lead(fp vproc.Fingerprint, compute func() vproc.Result) (res vproc.Result, hit bool) {
+	defer func() {
+		m.mu.Lock()
+		close(m.flights[fp])
+		delete(m.flights, fp)
+		m.mu.Unlock()
+	}()
+	if m.backing != nil {
+		res, hit = m.backing.Get(fp)
+	}
+	if hit {
+		// Promote without writing back: the backing already holds
+		// the entry, so only the in-memory layer needs it.
+		m.storeLocal(fp, res)
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
+		res = compute()
+		m.Store(fp, res)
+	}
+	return res, hit
 }
 
 // Store caches res under fp. First writer wins; later writers of the

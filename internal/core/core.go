@@ -171,9 +171,16 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 	if err != nil {
 		return nil, err
 	}
+	// One access index serves detection and prediction; it is dropped
+	// when this analysis returns, or right after detection when there is
+	// no prediction to share it with.
 	sp = reg.StartSpan("detect")
-	races := hb.DetectInstrumented(exec, reg)
+	idx := hb.NewIndex(exec)
+	races := hb.DetectIndex(idx, reg)
 	sp.End()
+	if !opts.Predict {
+		idx = nil
+	}
 	if reg != nil {
 		opts.Metrics = reg
 	}
@@ -188,7 +195,7 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 		Classification: cls,
 	}
 	if opts.Predict {
-		res.Predicted = runPredict(exec, races, opts, reg)
+		res.Predicted = runPredict(idx, races, opts, reg)
 	}
 	return res, nil
 }
@@ -199,9 +206,9 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 // audit envelope). Audit races appended by the second classification
 // pass are stamped Predicted, so the provenance trail distinguishes
 // verdicts on observed instances from verdicts on proposed ones.
-func runPredict(exec *replay.Execution, races *hb.Report, opts classify.Options, reg *obs.Registry) *Predicted {
+func runPredict(idx *hb.Index, races *hb.Report, opts classify.Options, reg *obs.Registry) *Predicted {
 	sp := reg.StartSpan("predict")
-	prep := predict.Run(exec, predict.Options{Window: opts.PredictWindow, Metrics: reg})
+	prep := predict.RunIndex(idx, predict.Options{Window: opts.PredictWindow, Metrics: reg})
 	newRaces := prep.NewReport(races)
 	sp.End()
 	var auditBefore int
@@ -209,7 +216,7 @@ func runPredict(exec *replay.Execution, races *hb.Report, opts classify.Options,
 		auditBefore = len(opts.Audit.Races)
 	}
 	sp = reg.StartSpan("classify-predicted")
-	pcls := classify.Run(exec, newRaces, opts)
+	pcls := classify.Run(idx.Exec, newRaces, opts)
 	sp.End()
 	if opts.Audit != nil {
 		for i := auditBefore; i < len(opts.Audit.Races); i++ {

@@ -29,9 +29,10 @@ func CollectEvidence(results []*Result) static.DynamicEvidence {
 			continue
 		}
 		if r.Exec != nil {
+			sites := hb.Sites(r.Exec.Prog)
 			for _, region := range r.Exec.Regions {
 				for _, acc := range region.Accesses {
-					ev.ObservedSites[acc.Site(r.Exec.Prog)] = true
+					ev.ObservedSites[sites.Site(acc.PC)] = true
 				}
 			}
 		} else {

@@ -151,7 +151,7 @@ func findRace(rep *hb.Report, subA, subB string) *hb.Race {
 func findRegionReading(exec *replay.Execution, site string) *replay.Region {
 	for _, reg := range exec.Regions {
 		for _, acc := range reg.Accesses {
-			if acc.Site(exec.Prog) == site {
+			if exec.Prog.SiteOf(acc.PC) == site {
 				return reg
 			}
 		}

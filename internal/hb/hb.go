@@ -43,6 +43,10 @@ func MakeSitePair(x, y string) SitePair {
 
 func (p SitePair) String() string { return p.A + " <-> " + p.B }
 
+// Less orders site pairs lexicographically, the order reports list
+// races in.
+func (p SitePair) Less(q SitePair) bool { return p.A < q.A || (p.A == q.A && p.B < q.B) }
+
 // Instance is one dynamic occurrence of a race: a specific pair of
 // conflicting accesses in a specific pair of overlapping regions. First is
 // the access from the region scheduled earlier; the recorded ("original")
@@ -86,12 +90,6 @@ func (r *Report) Race(sites SitePair) *Race {
 	return r.index[sites]
 }
 
-// accessRef ties an access to its region for the per-address index.
-type accessRef struct {
-	acc replay.Access
-	reg *replay.Region
-}
-
 // Detect runs the paper's region-overlap detector over exec.
 func Detect(exec *replay.Execution) *Report {
 	return DetectInstrumented(exec, nil)
@@ -101,161 +99,46 @@ func Detect(exec *replay.Execution) *Report {
 // detect.* counters (addresses indexed, region pairs examined vs.
 // conflicting, races and instances found). Nil reg is free.
 func DetectInstrumented(exec *replay.Execution, reg *obs.Registry) *Report {
-	return detect(exec, func(a, b *replay.Region) bool { return a.Overlaps(b) }, reg)
+	return DetectIndex(NewIndex(exec), reg)
 }
 
-// addrScreen is the per-address screening summary plus the address's
-// cursor into the shared reference buffer once it survives the screen.
-type addrScreen struct {
-	tid         int32 // first thread observed touching the address
-	refs        int32 // non-atomic accesses (for exact buffer sizing)
-	start, next int32 // range into the shared ref buffer (pass 2)
-	multiThread bool  // a second thread touched it
-	hasWrite    bool  // at least one non-atomic write
-	keep        bool  // survived the screen
+// DetectIndex is DetectInstrumented over an already-built index, for
+// callers that share one index across several detectors.
+func DetectIndex(x *Index, reg *obs.Registry) *Report {
+	return detect(x, func(a, b *replay.Region) bool { return a.Overlaps(b) }, reg)
 }
 
 // detect is the shared conflict search, parameterized by the concurrency
-// test on region pairs.
-//
-// The search runs in two passes over the recorded accesses. Pass 1
-// screens every address down to a constant-size summary (slot in a flat
-// slice; the only per-access map op is the address→slot lookup); only
-// addresses touched by two or more threads with at least one write go
-// any further — the single-thread-address fast path filters everything
-// else, which on real workloads is almost every address. Pass 2 copies
-// the surviving addresses' references into one exactly-sized shared
-// buffer, each address a contiguous range, in region schedule order. So
-// grouping by region is run-splitting over a sorted slice (references
-// in a range arrive already sorted by Region.Global), and instance
-// dedup is a linear scan over the handful of site pairs one region pair
-// can emit (no global map churn).
-func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, reg *obs.Registry) *Report {
-	// Pass 1: screen addresses. Atomic (lock-prefixed) accesses are
-	// synchronization, not data: skip them in both passes.
-	slotOf := make(map[uint64]int32)
-	var screens []addrScreen
-	for _, region := range exec.Regions {
-		for _, acc := range region.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			slot, ok := slotOf[acc.Addr]
-			if !ok {
-				slot = int32(len(screens))
-				screens = append(screens, addrScreen{tid: int32(region.TID)})
-				slotOf[acc.Addr] = slot
-			}
-			s := &screens[slot]
-			if s.tid != int32(region.TID) {
-				s.multiThread = true
-			}
-			s.hasWrite = s.hasWrite || acc.IsWrite
-			s.refs++
-		}
-	}
-
-	// Lay out one contiguous range per surviving address in a shared
-	// buffer, and list the survivors in ascending address order (the
-	// emission order golden outputs depend on).
-	var screenedOut uint64
-	var addrs []uint64
-	totalKept := int32(0)
-	for addr, slot := range slotOf {
-		s := &screens[slot]
-		if s.multiThread && s.hasWrite {
-			s.keep = true
-			addrs = append(addrs, addr)
-		} else {
-			screenedOut++
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		s := &screens[slotOf[addr]]
-		s.start, s.next = totalKept, totalKept
-		totalKept += s.refs
-	}
-
-	// Pass 2: copy the survivors' references into their ranges, walking
-	// regions in schedule order so each range is sorted by Region.Global.
-	refBuf := make([]accessRef, totalKept)
-	if totalKept > 0 {
-		for _, region := range exec.Regions {
-			for _, acc := range region.Accesses {
-				if acc.Atomic {
-					continue
-				}
-				s := &screens[slotOf[acc.Addr]]
-				if s.keep {
-					refBuf[s.next] = accessRef{acc: acc, reg: region}
-					s.next++
-				}
-			}
-		}
-	}
-
+// test on region pairs. It compares every pair of an address's region
+// groups; instance dedup is a linear scan over the handful of site pairs
+// one region pair can emit (no global map churn).
+func detect(x *Index, concurrent func(a, b *replay.Region) bool, reg *obs.Registry) *Report {
 	races := make(map[SitePair]*Race)
 	total := 0
 	var pairsExamined, pairsConflicting uint64
 
-	// Scratch reused across addresses: per-region access runs (reads and
-	// writes separated into shared backing buffers, preserving access
-	// order) and the per-region-pair site dedup list.
-	type group struct {
-		reg      *replay.Region
-		rLo, rHi int // range into readsBuf
-		wLo, wHi int // range into writesBuf
-	}
-	var groups []group
-	var readsBuf, writesBuf []replay.Access
+	// Scratch reused across addresses: the region groups and the
+	// per-region-pair site dedup list. Site strings come from the shared
+	// per-program table (sites.go), keeping the hot pair loops free of fmt
+	// work.
+	var scratch GroupScratch
 	var emitted []SitePair
 
-	// Site strings are pure functions of the PC; the bounded package-level
-	// table (sites.go) formats each program's sites once and shares them
-	// across detector passes, seeds, and the online observer, keeping the
-	// hot pair loops free of fmt work.
-	siteOf := sitesFor(exec.Prog).site
-
-	for _, addr := range addrs {
-		s := &screens[slotOf[addr]]
-		refs := refBuf[s.start:s.next]
-
-		// Run-split by region: within the range, references are in region
-		// schedule order, and one region's accesses are contiguous.
-		groups = groups[:0]
-		readsBuf = readsBuf[:0]
-		writesBuf = writesBuf[:0]
-		for i := 0; i < len(refs); {
-			j := i
-			g := group{reg: refs[i].reg, rLo: len(readsBuf), wLo: len(writesBuf)}
-			for j < len(refs) && refs[j].reg == g.reg {
-				if acc := refs[j].acc; acc.IsWrite {
-					writesBuf = append(writesBuf, acc)
-				} else {
-					readsBuf = append(readsBuf, acc)
-				}
-				j++
-			}
-			g.rHi, g.wHi = len(readsBuf), len(writesBuf)
-			groups = append(groups, g)
-			i = j
-		}
-
+	for ai, addr := range x.Addrs {
+		groups := x.Groups(ai, &scratch)
 		for i := 0; i < len(groups); i++ {
 			for j := i + 1; j < len(groups); j++ {
 				ga, gb := &groups[i], &groups[j]
 				pairsExamined++
-				if ga.reg.TID == gb.reg.TID || !concurrent(ga.reg, gb.reg) {
+				if ga.Reg.TID == gb.Reg.TID || !concurrent(ga.Reg, gb.Reg) {
 					continue
 				}
 				pairsConflicting++
-				// Conflicting pairs: write/write, write/read, read/write.
 				// One instance per (site pair, region pair, address):
 				// emitted holds this pair's site pairs for the dedup scan.
 				emitted = emitted[:0]
-				emit := func(a, b replay.Access) {
-					sites := MakeSitePair(siteOf(a.PC), siteOf(b.PC))
+				ga.Conflicts(gb, func(a, b replay.Access) {
+					sites := MakeSitePair(x.Site(a.PC), x.Site(b.PC))
 					for _, e := range emitted {
 						if e == sites {
 							return
@@ -268,35 +151,18 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 						races[sites] = race
 					}
 					race.Instances = append(race.Instances, Instance{
-						First:   a,
-						Second:  b,
-						RegionA: ga.reg,
-						RegionB: gb.reg,
-						Addr:    addr,
+						First: a, Second: b, RegionA: ga.Reg, RegionB: gb.Reg, Addr: addr,
 					})
 					total++
-				}
-				for _, w := range writesBuf[ga.wLo:ga.wHi] {
-					for _, x := range writesBuf[gb.wLo:gb.wHi] {
-						emit(w, x)
-					}
-					for _, r := range readsBuf[gb.rLo:gb.rHi] {
-						emit(w, r)
-					}
-				}
-				for _, r := range readsBuf[ga.rLo:ga.rHi] {
-					for _, w := range writesBuf[gb.wLo:gb.wHi] {
-						emit(r, w)
-					}
-				}
+				})
 			}
 		}
 	}
 
 	if reg != nil {
 		reg.Counter("detect.executions").Inc()
-		reg.Counter("detect.addresses_indexed").Add(uint64(len(screens)))
-		reg.Counter("detect.addresses_screened_out").Add(screenedOut)
+		reg.Counter("detect.addresses_indexed").Add(uint64(x.Indexed))
+		reg.Counter("detect.addresses_screened_out").Add(uint64(x.Indexed - len(x.Addrs)))
 		reg.Counter("detect.region_pairs_examined").Add(pairsExamined)
 		reg.Counter("detect.region_pairs_conflicting").Add(pairsConflicting)
 		reg.Counter("detect.races").Add(uint64(len(races)))
@@ -307,13 +173,7 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 	for _, race := range races {
 		rep.Races = append(rep.Races, race)
 	}
-	sort.Slice(rep.Races, func(i, j int) bool {
-		a, b := rep.Races[i].Sites, rep.Races[j].Sites
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	sort.Slice(rep.Races, func(i, j int) bool { return rep.Races[i].Sites.Less(rep.Races[j].Sites) })
 	return rep
 }
 
@@ -331,7 +191,7 @@ func DetectVCInstrumented(exec *replay.Execution, reg *obs.Registry) (*Report, e
 	if err != nil {
 		return nil, err
 	}
-	return detect(exec, func(a, b *replay.Region) bool {
+	return detect(NewIndex(exec), func(a, b *replay.Region) bool {
 		return clocks[a.Global].Concurrent(clocks[b.Global])
 	}, reg), nil
 }
@@ -349,23 +209,11 @@ func RegionClocks(exec *replay.Execution) ([]vclock.VC, error) {
 	atomicVC := make(map[uint64]vclock.VC)  // atomic addr -> last clock
 	endVC := make(map[int]vclock.VC)        // tid -> final clock
 
-	// Map child tid -> parent's clock at spawn time. Fill lazily: the
+	// Join the child's start with the parent's clock at spawn time. The
 	// schedule guarantees the parent's pre-spawn region is processed
 	// before the child's first region, so threadVC[parent] is exactly the
-	// pre-spawn clock when the child's SeqStart region comes up. Identify
-	// the parent by matching the child's StartTS against spawn sequencers.
-	spawnParent := make(map[int]int)
-	for _, tl := range exec.Log.Threads {
-		for _, s := range tl.Seqs {
-			if s.Kind == trace.SeqSyscall && s.Aux == isa.SysSpawn {
-				for _, child := range exec.Log.Threads {
-					if child.TID != tl.TID && child.StartTS == s.TS {
-						spawnParent[child.TID] = tl.TID
-					}
-				}
-			}
-		}
-	}
+	// pre-spawn clock when the child's SeqStart region comes up.
+	spawnParent := SpawnParents(exec)
 
 	for _, reg := range exec.Regions {
 		tid := reg.TID
@@ -410,4 +258,22 @@ func RegionClocks(exec *replay.Execution) ([]vclock.VC, error) {
 		}
 	}
 	return clocks, nil
+}
+
+// SpawnParents maps each spawned thread to its parent, identified by
+// matching the child's start timestamp against spawn sequencers.
+func SpawnParents(exec *replay.Execution) map[int]int {
+	spawnParent := make(map[int]int)
+	for _, tl := range exec.Log.Threads {
+		for _, s := range tl.Seqs {
+			if s.Kind == trace.SeqSyscall && s.Aux == isa.SysSpawn {
+				for _, child := range exec.Log.Threads {
+					if child.TID != tl.TID && child.StartTS == s.TS {
+						spawnParent[child.TID] = tl.TID
+					}
+				}
+			}
+		}
+	}
+	return spawnParent
 }

@@ -45,7 +45,7 @@ import (
 // threads, no future access can overlap it and its records are evicted.
 type Online struct {
 	prog  *isa.Program
-	table *siteTable
+	table *SiteTable
 	reg   *obs.Registry
 
 	stopOnRace bool
@@ -113,7 +113,7 @@ const maxOnlineRaces = 1024
 func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 	return &Online{
 		prog:         prog,
-		table:        sitesFor(prog),
+		table:        Sites(prog),
 		reg:          reg,
 		stopOnRace:   stopOnRace,
 		threads:      make(map[int]*onlineThread),
@@ -247,7 +247,7 @@ func (o *Online) access(tid, pc int, addr uint64, atomic, isWrite bool) {
 }
 
 func (o *Online) foundRace(pcA, pcB int) {
-	sites := MakeSitePair(o.table.site(pcA), o.table.site(pcB))
+	sites := MakeSitePair(o.table.Site(pcA), o.table.Site(pcB))
 	if _, ok := o.races[sites]; ok {
 		return
 	}

@@ -13,18 +13,19 @@ import (
 // from growing without limit across a long lifetime.
 const maxSitePrograms = 32
 
-// siteTable holds the formatted "prog:label+off" site string for every
+// SiteTable holds the formatted "prog:label+off" site string for every
 // code index of one program. Site strings are pure functions of the PC,
 // so the table is immutable once built and safe to share across detector
 // passes and goroutines.
-type siteTable struct {
+type SiteTable struct {
 	prog  *isa.Program
 	sites []string
 }
 
-// site returns the site string for pc, falling back to direct formatting
-// for out-of-range PCs (which SiteOf renders as a raw index).
-func (t *siteTable) site(pc int) string {
+// Site returns the site string for pc — exactly prog.SiteOf(pc) —
+// falling back to direct formatting for out-of-range PCs (which SiteOf
+// renders as a raw index).
+func (t *SiteTable) Site(pc int) string {
 	if pc >= 0 && pc < len(t.sites) {
 		return t.sites[pc]
 	}
@@ -39,18 +40,18 @@ func (t *siteTable) site(pc int) string {
 // eagerly-built table.
 var siteCache = struct {
 	sync.Mutex
-	m     map[*isa.Program]*siteTable
+	m     map[*isa.Program]*SiteTable
 	order []*isa.Program // insertion order, for FIFO eviction
-}{m: make(map[*isa.Program]*siteTable)}
+}{m: make(map[*isa.Program]*SiteTable)}
 
-// sitesFor returns the (possibly cached) site table for prog.
-func sitesFor(prog *isa.Program) *siteTable {
+// Sites returns the (possibly cached) site table for prog.
+func Sites(prog *isa.Program) *SiteTable {
 	siteCache.Lock()
 	defer siteCache.Unlock()
 	if t, ok := siteCache.m[prog]; ok {
 		return t
 	}
-	t := &siteTable{prog: prog, sites: make([]string, len(prog.Code))}
+	t := &SiteTable{prog: prog, sites: make([]string, len(prog.Code))}
 	for pc := range t.sites {
 		t.sites[pc] = prog.SiteOf(pc)
 	}
@@ -75,6 +76,6 @@ func siteCacheSize() int {
 func resetSiteCache() {
 	siteCache.Lock()
 	defer siteCache.Unlock()
-	siteCache.m = make(map[*isa.Program]*siteTable)
+	siteCache.m = make(map[*isa.Program]*SiteTable)
 	siteCache.order = nil
 }

@@ -147,7 +147,7 @@ func visit(exec *replay.Execution, states map[uint64]*addrState, warnings *[]*Wa
 		st = &addrState{state: Virgin, firstTid: acc.TID}
 		states[acc.Addr] = st
 	}
-	site := acc.Site(exec.Prog)
+	site := exec.Prog.SiteOf(acc.PC)
 
 	switch st.state {
 	case Virgin:

@@ -16,9 +16,10 @@
 //     is what RV-Predict calls must-happen-before: a lock-induced
 //     ordering is an accident of which thread won the lock, not a
 //     constraint on reorderings.
-//  2. Blocks: accesses are grouped into equivalence blocks — same
-//     region, same PC, same address, same access kind (the held
-//     lockset is constant within a region) — and one representative
+//  2. Blocks: the region groups of the detector's access index
+//     (hb.Index) condense into equivalence blocks — same region, same
+//     PC, same address, same access kind (the held lockset is
+//     constant within a region) — and one representative
 //     pair per block pair stands in for the whole cross product,
 //     collapsing the candidate space exactly the way the strict
 //     detector dedups instances per (site pair, region pair, address).
@@ -42,10 +43,10 @@
 package predict
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/hb"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -113,13 +114,8 @@ type Report struct {
 // contain — the races prediction found beyond the recorded interleaving.
 func (r *Report) NewSites(observed *hb.Report) []hb.SitePair {
 	var out []hb.SitePair
-	seen := map[hb.SitePair]bool{}
-	for _, c := range r.Candidates {
-		if seen[c.Sites] || (observed != nil && observed.Race(c.Sites) != nil) {
-			continue
-		}
-		seen[c.Sites] = true
-		out = append(out, c.Sites)
+	for _, race := range r.NewReport(observed).Races {
+		out = append(out, race.Sites)
 	}
 	return out
 }
@@ -127,40 +123,38 @@ func (r *Report) NewSites(observed *hb.Report) []hb.SitePair {
 // NewReport assembles the predicted-new candidates (site pairs absent
 // from the observed report) into an hb.Report the classifier consumes
 // unchanged: instances point at real recorded regions, so dual-order
-// replay, fingerprinting, and the memo cache all apply as-is.
+// replay, fingerprinting, and the memo cache all apply as-is. Candidates
+// are sorted by site pair, so each race is one contiguous run and the
+// races come out in report order.
 func (r *Report) NewReport(observed *hb.Report) *hb.Report {
-	races := map[hb.SitePair]*hb.Race{}
 	rep := &hb.Report{}
 	for _, c := range r.Candidates {
 		if observed != nil && observed.Race(c.Sites) != nil {
 			continue
 		}
-		race := races[c.Sites]
-		if race == nil {
-			race = &hb.Race{Sites: c.Sites}
-			races[c.Sites] = race
-			rep.Races = append(rep.Races, race)
+		if n := len(rep.Races); n == 0 || rep.Races[n-1].Sites != c.Sites {
+			rep.Races = append(rep.Races, &hb.Race{Sites: c.Sites})
 		}
+		race := rep.Races[len(rep.Races)-1]
 		race.Instances = append(race.Instances, c.Instance)
 		rep.TotalInstances++
 	}
-	sort.Slice(rep.Races, func(i, j int) bool {
-		a, b := rep.Races[i].Sites, rep.Races[j].Sites
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
 	return rep
 }
 
 // regionInfo is the per-region precomputation the prefilter and the
 // solver share.
 type regionInfo struct {
-	held   []uint64        // locks held during the region, sorted
-	heldAt []lockOwner     // global lock table at region start
-	reads  map[uint64]bool // addresses read (non-atomic)
-	writes map[uint64]bool // addresses written (non-atomic)
+	held   []uint64    // locks held during the region, sorted
+	heldAt []lockOwner // global lock table at region start
+	reads  []uint64    // addresses read (non-atomic), sorted
+	writes []uint64    // addresses written (non-atomic), sorted
+}
+
+// writesTo reports whether the region wrote addr.
+func (ri *regionInfo) writesTo(addr uint64) bool {
+	_, ok := slices.BinarySearch(ri.writes, addr)
+	return ok
 }
 
 type lockOwner struct {
@@ -173,116 +167,59 @@ type lockOwner struct {
 // region overlap — prediction is independent of it; callers use
 // NewReport/NewSites to subtract the observed set.
 func Run(exec *replay.Execution, opts Options) *Report {
+	return RunIndex(hb.NewIndex(exec), opts)
+}
+
+// RunIndex is Run over an already-built access index: the addresses the
+// strict detector's screen keeps, visited in ascending order, with each
+// region group's accesses condensed into blocks.
+func RunIndex(x *hb.Index, opts Options) *Report {
 	window := opts.Window
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	rep := &Report{Window: window}
 
+	exec := x.Exec
 	weak := weakClocks(exec)
 	infos := precompute(exec)
 	spawnReg, lastReg := forkJoinIndex(exec)
 
-	// Per-address screening and reference layout, mirroring the strict
-	// detector: only addresses touched by two or more threads with at
-	// least one non-atomic write go further, and survivors are visited
-	// in ascending address order so the output is deterministic.
-	type ref struct {
-		acc replay.Access
-		reg *replay.Region
-	}
-	byAddr := map[uint64][]ref{}
-	firstTID := map[uint64]int{}
-	multi := map[uint64]bool{}
-	hasWrite := map[uint64]bool{}
-	for _, region := range exec.Regions {
-		for _, acc := range region.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			if t, ok := firstTID[acc.Addr]; !ok {
-				firstTID[acc.Addr] = region.TID
-			} else if t != region.TID {
-				multi[acc.Addr] = true
-			}
-			hasWrite[acc.Addr] = hasWrite[acc.Addr] || acc.IsWrite
-			byAddr[acc.Addr] = append(byAddr[acc.Addr], ref{acc, region})
-		}
-	}
-	var addrs []uint64
-	for addr := range byAddr {
-		if multi[addr] && hasWrite[addr] {
-			addrs = append(addrs, addr)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
-	siteOf := func(pc int) string { return exec.Prog.SiteOf(pc) }
-
-	// Block representatives per (region, PC, kind): the first access of
-	// each kind at each PC within a region stands in for the whole block
-	// (held locksets are region-constant, so blocks never split on them).
-	type block struct {
-		reg *replay.Region
-		acc replay.Access
-	}
+	var scratch hb.GroupScratch
 	var emitted []hb.SitePair
-	for _, addr := range addrs {
-		refs := byAddr[addr]
-		// Run-split by region (refs arrive in schedule order).
-		type group struct {
-			reg           *replay.Region
-			reads, writes []block
-		}
-		var groups []group
-		for i := 0; i < len(refs); {
-			g := group{reg: refs[i].reg}
-			seenR := map[int]bool{}
-			seenW := map[int]bool{}
-			j := i
-			for j < len(refs) && refs[j].reg == g.reg {
-				acc := refs[j].acc
-				if acc.IsWrite {
-					if !seenW[acc.PC] {
-						seenW[acc.PC] = true
-						g.writes = append(g.writes, block{g.reg, acc})
-					}
-				} else if !seenR[acc.PC] {
-					seenR[acc.PC] = true
-					g.reads = append(g.reads, block{g.reg, acc})
-				}
-				j++
-			}
-			rep.Blocks += len(g.reads) + len(g.writes)
-			groups = append(groups, g)
-			i = j
+	for ai, addr := range x.Addrs {
+		groups := x.Groups(ai, &scratch)
+		// Block representatives per (region, PC, kind): the first access
+		// of each kind at each PC within a group stands in for the whole
+		// block (held locksets are region-constant, so blocks never split
+		// on them).
+		for i := range groups {
+			g := &groups[i]
+			g.Reads, g.Writes = firstPerPC(g.Reads), firstPerPC(g.Writes)
+			rep.Blocks += len(g.Reads) + len(g.Writes)
 		}
 
 		for i := 0; i < len(groups); i++ {
 			for j := i + 1; j < len(groups); j++ {
 				ga, gb := &groups[i], &groups[j]
-				if ga.reg.TID == gb.reg.TID {
-					continue
-				}
 				// Region-level prefilter: weak-HB concurrency and
 				// disjoint held locksets hold for every block pair of
 				// the two regions, so test them once.
-				if !weak[ga.reg.Global].Concurrent(weak[gb.reg.Global]) {
-					continue
-				}
-				if intersects(infos[ga.reg.Global].held, infos[gb.reg.Global].held) {
+				if ga.Reg.TID == gb.Reg.TID ||
+					!weak[ga.Reg.Global].Concurrent(weak[gb.Reg.Global]) ||
+					intersects(infos[ga.Reg.Global].held, infos[gb.Reg.Global].held) {
 					continue
 				}
 				// Window feasibility is also a property of the region
 				// pair (plus the racing address for the value check).
-				wit, ok := feasible(exec, infos, spawnReg, lastReg, ga.reg, gb.reg, addr, window, &rep.Rejected)
+				wit, ok := feasible(exec, infos, spawnReg, lastReg, ga.Reg, gb.Reg, addr, window, &rep.Rejected)
 				if !ok {
 					continue
 				}
 				emitted = emitted[:0]
-				emit := func(a, b block) {
+				ga.Conflicts(gb, func(a, b replay.Access) {
 					rep.PairsScreened++
-					sites := hb.MakeSitePair(siteOf(a.acc.PC), siteOf(b.acc.PC))
+					sites := hb.MakeSitePair(x.Site(a.PC), x.Site(b.PC))
 					for _, e := range emitted {
 						if e == sites {
 							return
@@ -292,27 +229,12 @@ func Run(exec *replay.Execution, opts Options) *Report {
 					rep.Candidates = append(rep.Candidates, &Candidate{
 						Sites: sites,
 						Instance: hb.Instance{
-							First: a.acc, Second: b.acc,
-							RegionA: a.reg, RegionB: b.reg,
-							Addr: addr,
+							First: a, Second: b, RegionA: ga.Reg, RegionB: gb.Reg, Addr: addr,
 						},
 						Observed: wit.Kind == "observed",
 						Witness:  wit,
 					})
-				}
-				for _, w := range ga.writes {
-					for _, x := range gb.writes {
-						emit(w, x)
-					}
-					for _, r := range gb.reads {
-						emit(w, r)
-					}
-				}
-				for _, r := range ga.reads {
-					for _, w := range gb.writes {
-						emit(r, w)
-					}
-				}
+				})
 			}
 		}
 	}
@@ -320,10 +242,7 @@ func Run(exec *replay.Execution, opts Options) *Report {
 	sort.SliceStable(rep.Candidates, func(i, j int) bool {
 		a, b := rep.Candidates[i], rep.Candidates[j]
 		if a.Sites != b.Sites {
-			if a.Sites.A != b.Sites.A {
-				return a.Sites.A < b.Sites.A
-			}
-			return a.Sites.B < b.Sites.B
+			return a.Sites.Less(b.Sites)
 		}
 		if a.Instance.RegionA.Global != b.Instance.RegionA.Global {
 			return a.Instance.RegionA.Global < b.Instance.RegionA.Global
@@ -428,41 +347,26 @@ func feasible(exec *replay.Execution, infos []regionInfo, spawnReg, lastReg map[
 	// write — and no write of a — may feed a chain read. For b itself
 	// the racing address is exempt: disagreement there is the race, and
 	// the dual-order classifier replays both resolutions of it.
-	for _, c := range chain {
-		ci := &infos[c.Global]
-		for rd := range ci.reads {
-			if infos[a.Global].writes[rd] {
+	for _, c := range hoisted {
+		for _, rd := range infos[c.Global].reads {
+			if (c != b || rd != addr) && infos[a.Global].writesTo(rd) {
 				rej.Value++
 				return Witness{}, false
 			}
 			for _, s := range skipped {
-				if infos[s.Global].writes[rd] {
+				if infos[s.Global].writesTo(rd) {
 					rej.Value++
 					return Witness{}, false
 				}
 			}
 		}
 	}
-	bi := &infos[b.Global]
-	for rd := range bi.reads {
-		if rd != addr && infos[a.Global].writes[rd] {
-			rej.Value++
-			return Witness{}, false
-		}
-		for _, s := range skipped {
-			if infos[s.Global].writes[rd] {
-				rej.Value++
-				return Witness{}, false
-			}
-		}
-	}
 
 	wit := Witness{Kind: "reordered", Regions: make([]int, 0, len(chain)+2)}
 	wit.Regions = append(wit.Regions, a.Global)
-	for _, c := range chain {
+	for _, c := range hoisted {
 		wit.Regions = append(wit.Regions, c.Global)
 	}
-	wit.Regions = append(wit.Regions, b.Global)
 	return wit, true
 }
 
@@ -479,7 +383,7 @@ func weakClocks(exec *replay.Execution) []vclock.VC {
 	clocks := make([]vclock.VC, len(exec.Regions))
 	threadVC := make(map[int]vclock.VC, nThreads)
 	endVC := make(map[int]vclock.VC)
-	spawnParent := spawnParents(exec)
+	spawnParent := hb.SpawnParents(exec)
 
 	for _, reg := range exec.Regions {
 		tid := reg.TID
@@ -507,25 +411,6 @@ func weakClocks(exec *replay.Execution) []vclock.VC {
 		}
 	}
 	return clocks
-}
-
-// spawnParents maps each spawned thread to its parent, identified by
-// matching the child's start timestamp against spawn sequencers — the
-// same derivation hb.RegionClocks uses.
-func spawnParents(exec *replay.Execution) map[int]int {
-	spawnParent := make(map[int]int)
-	for _, tl := range exec.Log.Threads {
-		for _, s := range tl.Seqs {
-			if s.Kind == trace.SeqSyscall && s.Aux == isa.SysSpawn {
-				for _, child := range exec.Log.Threads {
-					if child.TID != tl.TID && child.StartTS == s.TS {
-						spawnParent[child.TID] = tl.TID
-					}
-				}
-			}
-		}
-	}
-	return spawnParent
 }
 
 // precompute walks the schedule once and fills the per-region facts the
@@ -561,20 +446,37 @@ func precompute(exec *replay.Execution) []regionInfo {
 		info := &infos[reg.Global]
 		info.heldAt = table
 		info.held = append([]uint64(nil), heldBy[reg.TID]...)
-		info.reads = map[uint64]bool{}
-		info.writes = map[uint64]bool{}
 		for _, acc := range reg.Accesses {
 			if acc.Atomic {
 				continue
 			}
 			if acc.IsWrite {
-				info.writes[acc.Addr] = true
+				info.writes = append(info.writes, acc.Addr)
 			} else {
-				info.reads[acc.Addr] = true
+				info.reads = append(info.reads, acc.Addr)
 			}
 		}
+		slices.Sort(info.reads)
+		slices.Sort(info.writes)
+		info.reads, info.writes = slices.Compact(info.reads), slices.Compact(info.writes)
 	}
 	return infos
+}
+
+// firstPerPC filters accs in place down to the first access at each PC:
+// one representative per block.
+func firstPerPC(accs []replay.Access) []replay.Access {
+	out := accs[:0]
+next:
+	for _, a := range accs {
+		for _, b := range out {
+			if b.PC == a.PC {
+				continue next
+			}
+		}
+		out = append(out, a)
+	}
+	return out
 }
 
 // forkJoinIndex returns, per thread, the Global of the region whose

@@ -35,9 +35,6 @@ type Access struct {
 	Atomic  bool // performed by a lock-prefixed instruction
 }
 
-// Site returns the stable static identity of the access.
-func (a Access) Site(prog *isa.Program) string { return prog.SiteOf(a.PC) }
-
 // Region is one sequencing region: the instructions a thread executed
 // between two consecutive sequencers.
 type Region struct {

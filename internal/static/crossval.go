@@ -184,11 +184,5 @@ func CrossValidateInstrumented(rep *Report, ev DynamicEvidence, reg *obs.Registr
 }
 
 func sortMissed(missed []MissedRace) {
-	sort.Slice(missed, func(i, j int) bool {
-		a, b := missed[i].Sites, missed[j].Sites
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
+	sort.Slice(missed, func(i, j int) bool { return missed[i].Sites.Less(missed[j].Sites) })
 }

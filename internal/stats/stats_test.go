@@ -87,6 +87,27 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
+// Equal neighbours interpolate to exactly their value at every
+// fraction; a*(1-f) + b*f used to land one ulp below (3,3 at p30 gave
+// 2.9999999999999996), breaking monotonicity.
+func TestPercentileEqualNeighbours(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []int
+		p    float64
+		want float64
+	}{
+		{[]int{3, 3}, 30, 3},
+		{[]int{3, 3}, 70, 3},
+		{[]int{0, 3, 3, 9}, 40, 3},
+		{[]int{7, 7, 7}, 10, 7},
+		{[]int{99, 99}, 90, 99},
+	} {
+		if got := Percentile(tc.xs, tc.p); got != tc.want {
+			t.Errorf("Percentile(%v, %v) = %v, want %v", tc.xs, tc.p, got, tc.want)
+		}
+	}
+}
+
 func TestPercentileMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -18,6 +18,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -752,13 +753,17 @@ func All() []Template {
 	return ts
 }
 
-// ByName returns the template whose Name is a prefix of the given race
-// site ("suite:red03_store+2" → red03), or nil.
+// templates is All, built once: report rendering resolves every race
+// through ByName.
+var templates = sync.OnceValue(All)
+
+// ByName returns a copy of the template with the given Name, the prefix
+// of its race sites ("suite:red03_store+2" → red03), or nil.
 func ByName(name string) *Template {
-	for _, t := range All() {
+	for _, t := range templates() {
 		if t.Name == name {
-			tt := t
-			return &tt
+			t.Workers = slices.Clone(t.Workers)
+			return &t
 		}
 	}
 	return nil

@@ -249,7 +249,7 @@ func BenchmarkDetectorAblation(b *testing.B) {
 	b.Run("vclock", func(b *testing.B) {
 		var races int
 		for i := 0; i < b.N; i++ {
-			rep, err := hb.DetectVC(exec)
+			rep, err := hb.DetectVC(exec, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

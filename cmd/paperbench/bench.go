@@ -62,7 +62,7 @@ func runBenchOut(path string, benchTime time.Duration, rounds int, out io.Writer
 		})
 		if memo {
 			res.Metrics = map[string]float64{"hitrate": hitRate(func(reg *racereplay.Metrics) {
-				if _, err := racereplay.AnalyzeLogInstrumented(log, racereplay.Options{}, reg); err != nil {
+				if _, err := racereplay.AnalyzeLog(log, racereplay.Options{Metrics: reg}); err != nil {
 					fatal(err)
 				}
 			})}

@@ -235,7 +235,7 @@ func ablation() {
 		fatal(err)
 	}
 	interval := hb.Detect(exec)
-	vc, err := hb.DetectVC(exec)
+	vc, err := hb.DetectVC(exec, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -32,9 +32,11 @@ import (
 	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/debug"
 	"repro/internal/hb"
 	"repro/internal/machine"
+	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/workloads"
@@ -317,22 +319,9 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	var log *racereplay.Log
-	var onlineRep *racereplay.OnlineReport
-	switch {
-	case *online:
-		log, onlineRep, err = racereplay.RecordOnlineInstrumented(prog, cfg, racereplay.OnlineConfig{
-			Detect: true, StopOnFirstRace: *stopOnRace, KeyFrameInterval: *keyframes,
-		}, reg)
-	case *keyframes > 0:
-		// Key-frame recording has no per-event metrics observer; time it
-		// under the record span so the ladder still sees the stage.
-		sp := reg.StartSpan("record")
-		log, err = racereplay.RecordWithKeyFrames(prog, cfg, *keyframes)
-		sp.End()
-	default:
-		log, err = racereplay.RecordInstrumented(prog, cfg, reg)
-	}
+	log, onlineRep, err := racereplay.RecordOnlineInstrumented(prog, cfg, racereplay.OnlineConfig{
+		Detect: *online, StopOnFirstRace: *stopOnRace, KeyFrameInterval: *keyframes,
+	}, reg)
 	if err != nil {
 		return err
 	}
@@ -376,7 +365,7 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	exec, err := racereplay.ReplayInstrumented(log, reg)
+	exec, err := replayLog(log, reg)
 	if err != nil {
 		return err
 	}
@@ -409,13 +398,16 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	exec, err := racereplay.ReplayInstrumented(log, reg)
+	exec, err := replayLog(log, reg)
 	if err != nil {
 		return err
 	}
 	switch *detector {
 	case "hb":
-		printRaces(racereplay.DetectRacesInstrumented(exec, reg))
+		sp := reg.StartSpan("detect")
+		rep := hb.DetectIndex(hb.NewIndex(exec), reg)
+		sp.End()
+		printRaces(rep)
 	case "vc":
 		rep, err := racereplay.DetectRacesVC(exec)
 		if err != nil {
@@ -439,6 +431,14 @@ func cmdDetect(args []string) error {
 		return fmt.Errorf("unknown detector %q", *detector)
 	}
 	return metrics.emit(reg)
+}
+
+// replayLog replays log under the "replay" span, publishing the replay.*
+// counters into reg (nil is off).
+func replayLog(log *racereplay.Log, reg *racereplay.Metrics) (*racereplay.Execution, error) {
+	sp := reg.StartSpan("replay")
+	defer sp.End()
+	return replay.Run(log, replay.Options{Metrics: reg})
 }
 
 func printRaces(rep *hb.Report) {
@@ -469,8 +469,8 @@ func cmdClassify(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := racereplay.AnalyzeLogInstrumented(log,
-		racereplay.Options{DB: db, Scenario: log.Prog.Name, Seed: log.Seed}, reg)
+	res, err := racereplay.AnalyzeLog(log,
+		racereplay.Options{DB: db, Scenario: log.Prog.Name, Seed: log.Seed, Metrics: reg})
 	if err != nil {
 		return err
 	}
@@ -511,14 +511,8 @@ func cmdScenario(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := racereplay.Options{Scenario: s.Name, Seed: s.Seed, DB: db}
-	var res *racereplay.Result
-	if *online {
-		res, err = racereplay.AnalyzeOnlineInstrumented(prog, s.Config(),
-			racereplay.OnlineConfig{Detect: true}, opts, reg)
-	} else {
-		res, err = racereplay.AnalyzeInstrumented(prog, s.Config(), opts, reg)
-	}
+	res, err := core.Analyze(prog, s.Config(), racereplay.OnlineConfig{Detect: *online},
+		racereplay.Options{Scenario: s.Name, Seed: s.Seed, DB: db, Metrics: reg})
 	if err != nil {
 		return err
 	}
@@ -662,7 +656,7 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := racereplay.Options{DB: db, Predict: true, PredictWindow: *window}
+	opts := racereplay.Options{DB: db, Predict: true, PredictWindow: *window, Metrics: reg}
 	var res *racereplay.Result
 	switch {
 	case *name != "":
@@ -678,7 +672,7 @@ func cmdPredict(args []string) error {
 			return err
 		}
 		opts.Scenario, opts.Seed = s.Name, s.Seed
-		res, err = racereplay.AnalyzeInstrumented(prog, s.Config(), opts, reg)
+		res, err = racereplay.Analyze(prog, s.Config(), opts)
 		if err != nil {
 			return err
 		}
@@ -688,7 +682,7 @@ func cmdPredict(args []string) error {
 			return err
 		}
 		opts.Scenario, opts.Seed = filepath.Base(fs.Arg(0)), log.Seed
-		res, err = racereplay.AnalyzeLogInstrumented(log, opts, reg)
+		res, err = racereplay.AnalyzeLog(log, opts)
 		if err != nil {
 			return err
 		}
@@ -698,7 +692,7 @@ func cmdPredict(args []string) error {
 			return err
 		}
 		opts.Scenario, opts.Seed = prog.Name, *seed
-		res, err = racereplay.AnalyzeInstrumented(prog, racereplay.Config{Seed: *seed}, opts, reg)
+		res, err = racereplay.Analyze(prog, racereplay.Config{Seed: *seed}, opts)
 		if err != nil {
 			return err
 		}
@@ -876,12 +870,8 @@ func cmdRecordSuite(args []string) error {
 		i := i
 		forks[i] = reg.Fork()
 		pool.Submit(func() {
-			if *online {
-				logs[i], _, errs[i] = racereplay.RecordOnlineInstrumented(
-					work[i].prog, work[i].s.Config(), racereplay.OnlineConfig{Detect: true}, forks[i])
-			} else {
-				logs[i], errs[i] = racereplay.RecordInstrumented(work[i].prog, work[i].s.Config(), forks[i])
-			}
+			logs[i], _, errs[i] = racereplay.RecordOnlineInstrumented(
+				work[i].prog, work[i].s.Config(), racereplay.OnlineConfig{Detect: *online}, forks[i])
 		})
 	}
 	pool.Wait()

@@ -68,8 +68,8 @@ func (m *metricsOpts) enabled() bool {
 }
 
 // registry returns the registry to thread through the pipeline: nil when
-// every observability output is off, which keeps the instrumented entry
-// points free. With -trace-out the registry carries a flight-recorder
+// every observability output is off, which keeps every pipeline stage's
+// metrics free. With -trace-out the registry carries a flight-recorder
 // timeline; with -log-out it carries a leveled JSONL logger.
 func (m *metricsOpts) registry() (*racereplay.Metrics, error) {
 	if !m.enabled() {

@@ -88,6 +88,36 @@ func TestRunMetricsText(t *testing.T) {
 	}
 }
 
+// TestRecordMetricsEveryMode pins that recording publishes the same
+// record.* counters whatever mode it runs in: plain, with key frames, and
+// online with key frames. The three modes record the same execution, so
+// the instruction and load totals must agree.
+func TestRecordMetricsEveryMode(t *testing.T) {
+	prog := filepath.Join("..", "..", "testdata", "programs", "peterson.rasm")
+	var want racereplay.MetricsSnapshot
+	for i, mode := range [][]string{
+		nil,
+		{"-keyframes", "64"},
+		{"-online", "-keyframes", "64"},
+	} {
+		args := append([]string{"-metrics=json", "-o", filepath.Join(t.TempDir(), "out.rlog")}, mode...)
+		out := capture(t, func() error { return cmdRecord(append(args, prog)) })
+		snap := extractJSON(t, out)
+		for _, c := range []string{"record.instructions", "record.loads_total"} {
+			if snap.Counters[c] == 0 {
+				t.Errorf("record %v: counter %s is zero", mode, c)
+			}
+			if i > 0 && snap.Counters[c] != want.Counters[c] {
+				t.Errorf("record %v: %s = %d, plain recording has %d",
+					mode, c, snap.Counters[c], want.Counters[c])
+			}
+		}
+		if i == 0 {
+			want = snap
+		}
+	}
+}
+
 func TestScenarioMetricsPromToFile(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "metrics.prom")
 	out := capture(t, func() error {

@@ -84,7 +84,7 @@ func cmdProfile(args []string) error {
 
 	interrupted := false
 	for i := 0; i < *iterations && !interrupted; i++ {
-		if _, err := racereplay.RunSuiteSeedsInstrumented(nil, *seeds, reg); err != nil {
+		if _, err := racereplay.RunSuiteOpts(racereplay.SuiteOptions{Seeds: *seeds, Registry: reg}); err != nil {
 			srv.Close()
 			return err
 		}

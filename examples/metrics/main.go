@@ -19,10 +19,11 @@ import (
 )
 
 func main() {
-	// One registry observes the whole run. Passing nil instead turns
-	// every probe into a no-op — instrumentation costs nothing when off.
+	// One registry observes the whole run. Leaving Registry nil instead
+	// turns every probe into a no-op — instrumentation costs nothing when
+	// off.
 	reg := racereplay.NewMetrics()
-	run, err := racereplay.RunSuiteInstrumented(nil, reg)
+	run, err := racereplay.RunSuiteOpts(racereplay.SuiteOptions{Registry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}

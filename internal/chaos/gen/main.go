@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rlog, _, err := record.Run(prog, s.Config())
+	rlog, _, _, err := record.Run(prog, s.Config(), record.OnlineConfig{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/record"
 	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -28,7 +28,7 @@ func recordContainer(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := core.Record(prog, s.Config())
+	log, _, _, err := record.Run(prog, s.Config(), record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

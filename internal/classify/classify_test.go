@@ -23,7 +23,7 @@ func classifySrc(t *testing.T, src string, seed int64, opts Options) *Classifica
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: seed})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func triageSrc(t *testing.T, src string, seed int64) ([]LocksetTriage, *lockset.
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: seed})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

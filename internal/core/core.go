@@ -116,44 +116,12 @@ func DecodeLogFrom(r io.ReaderAt, size int64, o DecodeOptions) (*trace.Log, []tr
 	})
 }
 
-// Record runs prog under cfg and returns its replay log (the online half
-// of the pipeline; everything else is offline analysis over the log).
-func Record(prog *isa.Program, cfg machine.Config) (*trace.Log, *machine.Result, error) {
-	return record.Run(prog, cfg)
-}
-
-// RecordInstrumented is Record with stage metrics: the run is timed
-// under a "record" span and the recorder publishes its record.* counters
-// into reg. A nil reg is exactly Record.
-func RecordInstrumented(prog *isa.Program, cfg machine.Config, reg *obs.Registry) (*trace.Log, *machine.Result, error) {
-	return record.RunInstrumented(prog, cfg, reg)
-}
-
-// RecordOnline is Record with the online race detector attached (per
-// oc): the returned log carries the raced/race-free verdict as its
-// in-memory Online annotation, and the detector's report comes back
-// alongside. With oc.Detect false it degrades to Record.
-func RecordOnline(prog *isa.Program, cfg machine.Config, oc record.OnlineConfig) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
-	return record.RunOnline(prog, cfg, oc)
-}
-
-// RecordOnlineInstrumented is RecordOnline with stage metrics, including
-// the detect.online.* family. A nil reg is exactly RecordOnline.
-func RecordOnlineInstrumented(prog *isa.Program, cfg machine.Config, oc record.OnlineConfig, reg *obs.Registry) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
-	return record.RunOnlineInstrumented(prog, cfg, oc, reg)
-}
-
 // AnalyzeLog runs the offline half over an existing log: replay,
-// happens-before detection, and dual-order classification.
+// happens-before detection, and dual-order classification. A non-nil
+// opts.Metrics runs each offline stage under its own span ("replay",
+// "detect", "classify") and receives every stage's counters; nil is off.
 func AnalyzeLog(log *trace.Log, opts classify.Options) (*Result, error) {
-	return AnalyzeLogInstrumented(log, opts, nil)
-}
-
-// AnalyzeLogInstrumented is AnalyzeLog with stage metrics: each offline
-// stage runs under its own span ("replay", "detect", "classify") and
-// publishes its counters into reg, which is also forwarded to the
-// classifier and virtual processor. A nil reg is exactly AnalyzeLog.
-func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Registry) (*Result, error) {
+	reg := opts.Metrics
 	// Race-free fast path: when an online detector watched the recording
 	// and saw no race, its verdict provably matches the offline detector
 	// on this log, so replay+detect+classify would only reconfirm an
@@ -163,7 +131,7 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 	// Prediction disables the fast path: a race-free *observed*
 	// interleaving is exactly where prediction has work to do.
 	if log.Online != nil && log.Online.RaceFree && !log.Online.Stopped && !opts.Predict {
-		return analyzeRaceFreeFast(log, opts, reg)
+		return analyzeRaceFreeFast(log, opts)
 	}
 	sp := reg.StartSpan("replay")
 	exec, err := replay.Run(log, replay.Options{Metrics: reg})
@@ -181,9 +149,6 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 	if !opts.Predict {
 		idx = nil
 	}
-	if reg != nil {
-		opts.Metrics = reg
-	}
 	sp = reg.StartSpan("classify")
 	cls := classify.Run(exec, races, opts)
 	sp.End()
@@ -195,7 +160,7 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 		Classification: cls,
 	}
 	if opts.Predict {
-		res.Predicted = runPredict(idx, races, opts, reg)
+		res.Predicted = runPredict(idx, races, opts)
 	}
 	return res, nil
 }
@@ -206,7 +171,8 @@ func AnalyzeLogInstrumented(log *trace.Log, opts classify.Options, reg *obs.Regi
 // audit envelope). Audit races appended by the second classification
 // pass are stamped Predicted, so the provenance trail distinguishes
 // verdicts on observed instances from verdicts on proposed ones.
-func runPredict(idx *hb.Index, races *hb.Report, opts classify.Options, reg *obs.Registry) *Predicted {
+func runPredict(idx *hb.Index, races *hb.Report, opts classify.Options) *Predicted {
+	reg := opts.Metrics
 	sp := reg.StartSpan("predict")
 	prep := predict.RunIndex(idx, predict.Options{Window: opts.PredictWindow, Metrics: reg})
 	newRaces := prep.NewReport(races)
@@ -235,7 +201,8 @@ func runPredict(idx *hb.Index, races *hb.Report, opts classify.Options, reg *obs
 // race report and an empty classification, with the observed data-access
 // sites carried over for static cross-validation. Downstream renderers
 // and merges treat it identically to an offline zero-race result.
-func analyzeRaceFreeFast(log *trace.Log, opts classify.Options, reg *obs.Registry) (*Result, error) {
+func analyzeRaceFreeFast(log *trace.Log, opts classify.Options) (*Result, error) {
+	reg := opts.Metrics
 	sp := reg.StartSpan("fastpath")
 	sites := make([]string, 0, len(log.Online.ObservedPCs))
 	for _, pc := range log.Online.ObservedPCs {
@@ -283,18 +250,15 @@ func (q Quarantined) String() string {
 // analysis panics — leaves a nil slot in the results and a Quarantined
 // entry (ascending by index) describing the failure. len(results) is
 // always len(logs).
-func AnalyzeLogs(logs []*trace.Log, optsFor func(i int) classify.Options, jobs int) ([]*Result, []Quarantined) {
-	return AnalyzeLogsInstrumented(logs, optsFor, jobs, nil)
-}
-
-// AnalyzeLogsInstrumented is AnalyzeLogs with stage metrics. Each worker
-// publishes spans through a fork of reg; forks are adopted in input
-// order after the batch drains, so the merged replay/detect/classify
-// ladder is identical at every worker count. The pool additionally
-// publishes its sched.* metrics, every recovered panic increments
-// sched.panics, and every quarantined item increments
-// robust.quarantined. A nil reg is exactly AnalyzeLogs.
-func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Options, jobs int, reg *obs.Registry) ([]*Result, []Quarantined) {
+//
+// A non-nil reg receives the batch's metrics: each worker publishes
+// through a fork of reg (which becomes that item's Options.Metrics), and
+// forks are adopted in input order after the batch drains, so the merged
+// replay/detect/classify ladder is identical at every worker count. The
+// pool additionally publishes its sched.* metrics, every recovered panic
+// increments sched.panics, and every quarantined item increments
+// robust.quarantined. Nil is off.
+func AnalyzeLogs(logs []*trace.Log, optsFor func(i int) classify.Options, jobs int, reg *obs.Registry) ([]*Result, []Quarantined) {
 	results := make([]*Result, len(logs))
 	errs := make([]error, len(logs))
 	// One replay cache for the whole batch: fingerprints are content
@@ -303,16 +267,16 @@ func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Opt
 	// the shared cache. Callers that set their own Memo — or NoMemo —
 	// keep their setting.
 	memo := classify.NewMemo()
-	batchOpts := func(i int) classify.Options {
-		o := optsFor(i)
-		if o.Memo == nil && !o.NoMemo {
-			o.Memo = memo
-		}
-		return o
-	}
 	analyze := func(i int, reg *obs.Registry) {
 		errs[i] = sched.Guard(reg, func() (err error) {
-			results[i], err = AnalyzeLogInstrumented(logs[i], batchOpts(i), reg)
+			o := optsFor(i)
+			if o.Memo == nil && !o.NoMemo {
+				o.Memo = memo
+			}
+			if reg != nil {
+				o.Metrics = reg
+			}
+			results[i], err = AnalyzeLog(logs[i], o)
 			return err
 		})
 	}
@@ -356,42 +320,20 @@ func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Opt
 	return results, quarantined
 }
 
-// Analyze is the whole pipeline: record prog, then analyze the log.
-func Analyze(prog *isa.Program, cfg machine.Config, opts classify.Options) (*Result, error) {
-	return AnalyzeInstrumented(prog, cfg, opts, nil)
-}
-
-// AnalyzeInstrumented is Analyze with stage metrics threaded through
-// every layer of the pipeline. A nil reg is exactly Analyze.
-func AnalyzeInstrumented(prog *isa.Program, cfg machine.Config, opts classify.Options, reg *obs.Registry) (*Result, error) {
-	log, mres, err := RecordInstrumented(prog, cfg, reg)
+// Analyze is the whole pipeline: record prog under cfg in the recording
+// mode oc picks (the zero value is a plain recording; with oc.Detect a
+// race-free online verdict lets the analysis half skip
+// replay+detect+classify entirely), then analyze the log. opts.Metrics,
+// when set, receives the metrics of every layer.
+func Analyze(prog *isa.Program, cfg machine.Config, oc record.OnlineConfig, opts classify.Options) (*Result, error) {
+	log, mres, _, err := record.Run(prog, cfg, oc, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Seed == 0 {
 		opts.Seed = cfg.Seed
 	}
-	res, err := AnalyzeLogInstrumented(log, opts, reg)
-	if err != nil {
-		return nil, err
-	}
-	res.Machine = mres
-	return res, nil
-}
-
-// AnalyzeOnlineInstrumented is AnalyzeInstrumented with online detection
-// during the recording: a race-free online verdict lets the analysis
-// half skip replay+detect+classify entirely (the fast path), while a
-// raced verdict takes the usual full offline pass.
-func AnalyzeOnlineInstrumented(prog *isa.Program, cfg machine.Config, oc record.OnlineConfig, opts classify.Options, reg *obs.Registry) (*Result, error) {
-	log, mres, _, err := RecordOnlineInstrumented(prog, cfg, oc, reg)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
-	res, err := AnalyzeLogInstrumented(log, opts, reg)
+	res, err := AnalyzeLog(log, opts)
 	if err != nil {
 		return nil, err
 	}

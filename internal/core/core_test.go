@@ -12,6 +12,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/record"
 	"repro/internal/trace"
 )
 
@@ -50,7 +51,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(prog, machine.Config{Seed: 4}, classify.Options{Scenario: "core"})
+	res, err := Analyze(prog, machine.Config{Seed: 4}, record.OnlineConfig{}, classify.Options{Scenario: "core"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestAnalyzeLogMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := Record(prog, machine.Config{Seed: 9})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 9}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestAnalyzeLogMatchesAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(prog, machine.Config{Seed: 9}, classify.Options{})
+	b, err := Analyze(prog, machine.Config{Seed: 9}, record.OnlineConfig{}, classify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestAnalyzeRejectsBadProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.Entry = 99 // corrupt after assembly
-	if _, err := Analyze(prog, machine.Config{Seed: 1}, classify.Options{}); err == nil {
+	if _, err := Analyze(prog, machine.Config{Seed: 1}, record.OnlineConfig{}, classify.Options{}); err == nil {
 		t.Error("corrupt program accepted")
 	}
 }
@@ -128,7 +129,7 @@ func TestAnalyzeLogsMatchesSerial(t *testing.T) {
 	}
 	var logs []*trace.Log
 	for seed := int64(1); seed <= 6; seed++ {
-		log, _, err := Record(prog, machine.Config{Seed: seed})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestAnalyzeLogsMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, jobs := range []int{1, 4, 16} {
-		got, quarantined := AnalyzeLogs(logs, optsFor, jobs)
+		got, quarantined := AnalyzeLogs(logs, optsFor, jobs, nil)
 		if len(quarantined) != 0 {
 			t.Fatalf("jobs=%d: healthy batch quarantined %v", jobs, quarantined)
 		}
@@ -171,7 +172,7 @@ func TestAnalyzeLogsQuarantinesBadItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, _, err := Record(prog, machine.Config{Seed: 2})
+	good, _, _, err := record.Run(prog, machine.Config{Seed: 2}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestAnalyzeLogsQuarantinesBadItems(t *testing.T) {
 	logs := []*trace.Log{good, &bad, &bad}
 	for _, jobs := range []int{1, 4} {
 		reg := obs.NewRegistry()
-		results, quarantined := AnalyzeLogsInstrumented(logs, func(i int) classify.Options {
+		results, quarantined := AnalyzeLogs(logs, func(i int) classify.Options {
 			return classify.Options{Scenario: fmt.Sprintf("log%d", i)}
 		}, jobs, reg)
 		if len(results) != 3 || results[0] == nil {
@@ -219,7 +220,7 @@ func TestAnalyzeLogsIsolatesPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, _, err := Record(prog, machine.Config{Seed: 2})
+	good, _, _, err := record.Run(prog, machine.Config{Seed: 2}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestAnalyzeLogsIsolatesPanics(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		results, quarantined := AnalyzeLogs([]*trace.Log{&bad, good}, func(i int) classify.Options {
 			return classify.Options{Scenario: fmt.Sprintf("log%d", i)}
-		}, jobs)
+		}, jobs, nil)
 		if results[1] == nil {
 			t.Fatalf("jobs=%d: healthy log lost to the panicking one", jobs)
 		}
@@ -245,7 +246,7 @@ func TestDecodeLogBothFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := Record(prog, machine.Config{Seed: 3})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 3}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

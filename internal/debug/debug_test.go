@@ -43,7 +43,7 @@ func recordCounter(t *testing.T) *trace.Log {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 3})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 3}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ main:
 	if err != nil {
 		log.Fatal(err)
 	}
-	rlog, _, err := record.Run(prog, machine.Config{Seed: 1})
+	rlog, _, _, err := record.Run(prog, machine.Config{Seed: 1}, record.OnlineConfig{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func ExampleREPL() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rlog, _, err := record.Run(prog, machine.Config{Seed: 1})
+	rlog, _, _, err := record.Run(prog, machine.Config{Seed: 1}, record.OnlineConfig{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,7 +83,7 @@ main:
 	// Scan seeds for a recording where T2's read physically overlapped
 	// T1's write region — the configuration Figure 1 draws.
 	for seed := int64(1); seed <= 40; seed++ {
-		log, _, err := record.Run(prog, machine.Config{Seed: seed})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,18 +92,13 @@ func (r *Report) Race(sites SitePair) *Race {
 
 // Detect runs the paper's region-overlap detector over exec.
 func Detect(exec *replay.Execution) *Report {
-	return DetectInstrumented(exec, nil)
+	return DetectIndex(NewIndex(exec), nil)
 }
 
-// DetectInstrumented is Detect with stage metrics: reg receives the
+// DetectIndex is Detect over an already-built index, for callers that
+// share one index across several detectors. A non-nil reg receives the
 // detect.* counters (addresses indexed, region pairs examined vs.
-// conflicting, races and instances found). Nil reg is free.
-func DetectInstrumented(exec *replay.Execution, reg *obs.Registry) *Report {
-	return DetectIndex(NewIndex(exec), reg)
-}
-
-// DetectIndex is DetectInstrumented over an already-built index, for
-// callers that share one index across several detectors.
+// conflicting, races and instances found); nil is off.
 func DetectIndex(x *Index, reg *obs.Registry) *Report {
 	return detect(x, func(a, b *replay.Region) bool { return a.Overlaps(b) }, reg)
 }
@@ -179,14 +174,9 @@ func detect(x *Index, concurrent func(a, b *replay.Region) bool, reg *obs.Regist
 
 // DetectVC runs the vector-clock variant: regions get clocks from the
 // synchronization structure, and conflicting accesses in VC-concurrent
-// regions race.
-func DetectVC(exec *replay.Execution) (*Report, error) {
-	return DetectVCInstrumented(exec, nil)
-}
-
-// DetectVCInstrumented is DetectVC with the same detect.* counters as
-// DetectInstrumented.
-func DetectVCInstrumented(exec *replay.Execution, reg *obs.Registry) (*Report, error) {
+// regions race. A non-nil reg receives the same detect.* counters as
+// DetectIndex; nil is off.
+func DetectVC(exec *replay.Execution, reg *obs.Registry) (*Report, error) {
 	clocks, err := RegionClocks(exec)
 	if err != nil {
 		return nil, err

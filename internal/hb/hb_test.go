@@ -19,7 +19,7 @@ func analyze(t *testing.T, src string, seed int64) (*replay.Execution, *hb.Repor
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: seed})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ wloop:
 ` + twoWorkers
 	for seed := int64(1); seed <= 6; seed++ {
 		exec, rep := analyze(t, src, seed)
-		vcRep, err := hb.DetectVC(exec)
+		vcRep, err := hb.DetectVC(exec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ mread:
 	foundGap := false
 	for seed := int64(1); seed <= 40 && !foundGap; seed++ {
 		exec, rep := analyze(t, src, seed)
-		vcRep, err := hb.DetectVC(exec)
+		vcRep, err := hb.DetectVC(exec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ worker:
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 4})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 4}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ wloop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 9})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 9}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ wloop:
 }
 
 // TestDetectInstrumentedPublishesCounters pins the detect.* counter
-// contract: an instrumented run on a racy program must publish every
+// contract: a run with a registry on a racy program must publish every
 // stage counter with values consistent with the report. (Guards the
 // registry parameter against being shadowed inside the detector.)
 func TestDetectInstrumentedPublishesCounters(t *testing.T) {
@@ -470,7 +470,7 @@ worker:
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 1})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 1}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ worker:
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	rep := hb.DetectInstrumented(exec, reg)
+	rep := hb.DetectIndex(hb.NewIndex(exec), reg)
 	snap := reg.Snapshot()
 	if got := snap.Counters["detect.executions"]; got != 1 {
 		t.Errorf("detect.executions = %d, want 1", got)
@@ -497,7 +497,7 @@ worker:
 		t.Error("detect.region_pairs_examined not published")
 	}
 	// The same counters accumulate across the VC ablation.
-	if _, err := hb.DetectVCInstrumented(exec, reg); err != nil {
+	if _, err := hb.DetectVC(exec, reg); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["detect.executions"]; got != 2 {

@@ -185,7 +185,7 @@ func TestIndexProgenSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, _, err := record.Run(prog, machine.Config{Seed: i, MaxSteps: 1 << 20})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: i, MaxSteps: 1 << 20}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func recordBoth(t *testing.T, src string, seed int64) (*hb.OnlineReport, *hb.Rep
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, rep, err := record.RunOnline(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true})
+	log, _, rep, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestOnlineAgreesWithOfflineGenerated(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		seed := int64(trial + 1)
-		log, _, rep, err := record.RunOnline(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true})
+		log, _, rep, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -219,7 +219,7 @@ func TestOnlineStopOnFirstRace(t *testing.T) {
 	}
 	var full uint64
 	for seed := int64(1); seed <= 50; seed++ {
-		_, res, rep, err := record.RunOnline(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true})
+		_, res, rep, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +227,8 @@ func TestOnlineStopOnFirstRace(t *testing.T) {
 			continue
 		}
 		full = res.TotalSteps
-		slog, sres, srep, err := record.RunOnline(prog, machine.Config{Seed: seed},
-			record.OnlineConfig{Detect: true, StopOnFirstRace: true})
+		slog, sres, srep, err := record.Run(prog, machine.Config{Seed: seed},
+			record.OnlineConfig{Detect: true, StopOnFirstRace: true}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: stop-on-race recording failed validation: %v", seed, err)
 		}
@@ -265,7 +265,7 @@ func TestOnlineMetricsPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	_, _, rep, err := record.RunOnlineInstrumented(prog, machine.Config{Seed: 1}, record.OnlineConfig{Detect: true}, reg)
+	_, _, rep, err := record.Run(prog, machine.Config{Seed: 1}, record.OnlineConfig{Detect: true}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSiteCacheBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, _, err := record.Run(prog, machine.Config{Seed: int64(i + 1)})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: int64(i + 1)}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestSiteCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		log, _, err := record.Run(prog, machine.Config{Seed: seed})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func analyze(t *testing.T, src string, seed int64) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: seed})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 // MetricsObserver is an Observer that counts the machine's raw event
 // stream into an obs.Registry — the instrumentation consumer the
 // MultiObserver fan-out exists for. It attaches next to the recorder
-// (record.RunInstrumented) so recording and measurement share one run
+// (record.Run with a registry) so recording and measurement share one run
 // without perturbing each other.
 //
 // Counter catalog (see docs/OBSERVABILITY.md):

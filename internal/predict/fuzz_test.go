@@ -37,7 +37,7 @@ func FuzzPredict(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program failed to assemble: %v", err)
 		}
-		log, _, err := record.Run(prog, machine.Config{Seed: genSeed})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: genSeed}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Skipf("recording failed: %v", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/record"
 )
 
 // FuzzPipeline lets the fuzzer steer both the program shape and the
@@ -27,8 +28,7 @@ func FuzzPipeline(f *testing.F) {
 		}
 		policy := machine.SchedPolicy(uint8(schedSeed) % 3)
 		res, err := core.Analyze(prog,
-			machine.Config{Seed: schedSeed, Policy: policy, MaxSteps: 1 << 19},
-			classify.Options{})
+			machine.Config{Seed: schedSeed, Policy: policy, MaxSteps: 1 << 19}, record.OnlineConfig{}, classify.Options{})
 		if err != nil {
 			t.Fatalf("pipeline failed: %v\n%s", err, src)
 		}

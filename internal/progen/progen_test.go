@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hb"
 	"repro/internal/machine"
+	"repro/internal/record"
 	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vproc"
@@ -57,7 +58,7 @@ func TestPipelinePropertyOverRandomPrograms(t *testing.T) {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		cfg := machine.Config{Seed: int64(i), Policy: policies[i%len(policies)], MaxSteps: 1 << 20}
-		res, err := core.Analyze(prog, cfg, classify.Options{})
+		res, err := core.Analyze(prog, cfg, record.OnlineConfig{}, classify.Options{})
 		if err != nil {
 			t.Fatalf("case %d: pipeline: %v\n%s", i, err, src)
 		}
@@ -91,7 +92,7 @@ func TestPipelinePropertyOverRandomPrograms(t *testing.T) {
 		}
 
 		// 3. The vector-clock detector finds at least as many instances.
-		vc, err := hb.DetectVC(res.Exec)
+		vc, err := hb.DetectVC(res.Exec, nil)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -136,7 +137,7 @@ func TestVprocDualOrderIsOrderSymmetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Analyze(prog, machine.Config{Seed: int64(i)}, classify.Options{})
+		res, err := core.Analyze(prog, machine.Config{Seed: int64(i)}, record.OnlineConfig{}, classify.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func TestLogSerializationRoundTripsRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, _, err := core.Record(prog, machine.Config{Seed: int64(i)})
+		log, _, _, err := record.Run(prog, machine.Config{Seed: int64(i)}, record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

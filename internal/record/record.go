@@ -14,14 +14,15 @@ package record
 import (
 	"sort"
 
+	"repro/internal/hb"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// Recorder builds a trace.Log from machine observer callbacks. Use Run for
-// the common record-a-whole-program case.
+// Recorder builds a trace.Log from machine observer callbacks. Use Run to
+// record a whole program.
 type Recorder struct {
 	prog    *isa.Program
 	seed    int64
@@ -186,41 +187,6 @@ func (r *Recorder) publishMetrics(res *machine.Result) {
 	}
 }
 
-// RunInstrumented is Run with stage metrics: the run is timed under a
-// "record" span, the recorder publishes its counters into reg, a
-// machine.MetricsObserver rides along behind a MultiObserver fan-out,
-// and the log's size is reported as the paper's bits/instruction gauges.
-// The size measurement compresses the log, which is bookkeeping rather
-// than recording, so it happens after the span ends. A nil reg degrades
-// to exactly Run.
-func RunInstrumented(prog *isa.Program, cfg machine.Config, reg *obs.Registry) (*trace.Log, *machine.Result, error) {
-	if reg == nil {
-		return Run(prog, cfg)
-	}
-	sp := reg.StartSpan("record")
-	rec := New(prog, cfg.Seed)
-	rec.Metrics = reg
-	cfg.Observer = machine.NewMultiObserver(rec, machine.NewMetricsObserver(reg))
-	m, err := machine.New(prog, cfg)
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	res := m.Run()
-	log := rec.Finish(res)
-	sp.End()
-	if err := log.Validate(); err != nil {
-		return nil, nil, err
-	}
-	st := trace.Stats(log)
-	reg.Gauge("record.bits_per_instr_raw").Set(st.RawBitsPerInstr())
-	reg.Gauge("record.bits_per_instr_compressed").Set(st.CompressedBitsPerInstr())
-	reg.Counter("record.log_bytes_raw").Add(uint64(st.RawBytes))
-	reg.Counter("record.log_bytes_compressed").Add(uint64(st.CompressedBytes))
-	reg.Counter("record.executions").Inc()
-	return log, res, nil
-}
-
 // KeyFrameRecorder is a Recorder that also drops a key frame into each
 // thread's log every Interval retired instructions — iDNA's mid-log
 // resume points, enabling replay.ThreadStateAt to answer per-thread state
@@ -228,6 +194,12 @@ func RunInstrumented(prog *isa.Program, cfg machine.Config, reg *obs.Registry) (
 type KeyFrameRecorder struct {
 	*Recorder
 	Interval uint64
+
+	// online, while set, is the detector whose first confirmed race
+	// multiplies Interval by factor (OnlineConfig.DownsampleFactor); it
+	// is cleared once the interval has been widened.
+	online *hb.Online
+	factor uint64
 }
 
 // NewWithKeyFrames returns a recorder that emits key frames every
@@ -241,6 +213,11 @@ func NewWithKeyFrames(prog *isa.Program, seed int64, interval uint64) *KeyFrameR
 
 // AfterRetire implements machine.KeyFramer.
 func (r *KeyFrameRecorder) AfterRetire(t *machine.Thread) {
+	if r.online != nil && r.online.Raced() {
+		r.Interval *= r.factor
+		r.online = nil
+		r.Metrics.Counter("record.keyframes.downsampled").Inc()
+	}
 	if t.Retired%r.Interval != 0 {
 		return
 	}
@@ -255,35 +232,105 @@ func (r *KeyFrameRecorder) AfterRetire(t *machine.Thread) {
 	tr.log.KeyFrames = append(tr.log.KeyFrames, kf)
 }
 
-// RunWithKeyFrames is Run with key frames every interval instructions.
-func RunWithKeyFrames(prog *isa.Program, cfg machine.Config, interval uint64) (*trace.Log, *machine.Result, error) {
-	rec := NewWithKeyFrames(prog, cfg.Seed, interval)
-	cfg.Observer = rec
-	m, err := machine.New(prog, cfg)
-	if err != nil {
-		return nil, nil, err
+// OnlineConfig picks Run's recording mode: online detection and key
+// frames. The recorder and the hb.Online detector share one observer
+// fan-out, so a single execution yields both the replay log and a
+// raced/race-free verdict with no second decode pass. The verdict rides
+// on the log as the in-memory trace.OnlineInfo annotation; the offline
+// detector stays the source of truth whenever the verdict is "raced".
+type OnlineConfig struct {
+	// Detect attaches the hb.Online observer. When false the run is a
+	// plain recording (key frames still honored) and no annotation is
+	// stamped on the log.
+	Detect bool
+	// StopOnFirstRace ends the run at the next scheduling-quantum
+	// boundary after the first race is observed. The truncated log is
+	// still valid (live threads get synthetic end sequencers) and the
+	// offline pass confirms the race on it; the truncation point is
+	// deterministic for a given seed.
+	StopOnFirstRace bool
+	// KeyFrameInterval, when positive, records key frames every that
+	// many retired instructions (see KeyFrameRecorder).
+	KeyFrameInterval uint64
+	// DownsampleFactor multiplies the key-frame interval once a race is
+	// confirmed: the run's fate is sealed (full offline analysis), so
+	// dense resume points stop paying for themselves. 0 means the
+	// default of 8; 1 disables down-sampling.
+	DownsampleFactor uint64
+}
+
+func (c OnlineConfig) withDefaults() OnlineConfig {
+	if c.DownsampleFactor == 0 {
+		c.DownsampleFactor = 8
 	}
-	res := m.Run()
-	log := rec.Finish(res)
-	if err := log.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return log, res, nil
+	return c
 }
 
 // Run records one full execution of prog under cfg (cfg.Observer is
-// overwritten). It returns the replay log and the machine result.
-func Run(prog *isa.Program, cfg machine.Config) (*trace.Log, *machine.Result, error) {
-	rec := New(prog, cfg.Seed)
-	cfg.Observer = rec
+// overwritten) and returns the replay log plus the machine result. oc
+// picks the recording mode; its zero value is a plain recording. With
+// oc.Detect the hb.Online detector watches the same run: the log carries
+// its verdict as the Online annotation and its report is returned (nil
+// otherwise). A non-nil reg receives the "record" span, the recorder's
+// record.* counters, a machine.MetricsObserver, the detect.online.*
+// family and the log-size gauges; the size measurement compresses the
+// log, which is bookkeeping rather than recording, so it happens after
+// the span ends. With a nil reg and no detector the machine's observer is
+// the bare Recorder.
+func Run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Registry) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
+	oc = oc.withDefaults()
+	sp := reg.StartSpan("record")
+	var online *hb.Online
+	if oc.Detect {
+		online = hb.NewOnline(prog, reg, oc.StopOnFirstRace)
+	}
+	var rec *Recorder
+	observers := make([]machine.Observer, 1, 3)
+	if oc.KeyFrameInterval > 0 {
+		kfr := NewWithKeyFrames(prog, cfg.Seed, oc.KeyFrameInterval)
+		if oc.DownsampleFactor > 1 {
+			kfr.online, kfr.factor = online, oc.DownsampleFactor
+		}
+		rec, observers[0] = kfr.Recorder, kfr
+	} else {
+		rec = New(prog, cfg.Seed)
+		observers[0] = rec
+	}
+	rec.Metrics = reg
+	if online != nil {
+		observers = append(observers, online)
+	}
+	if reg != nil {
+		observers = append(observers, machine.NewMetricsObserver(reg))
+	}
+	// A lone recorder attaches bare: no fan-out is built for it.
+	cfg.Observer = observers[0]
+	if len(observers) > 1 {
+		cfg.Observer = machine.NewMultiObserver(observers...)
+	}
 	m, err := machine.New(prog, cfg)
 	if err != nil {
-		return nil, nil, err
+		sp.End()
+		return nil, nil, nil, err
 	}
 	res := m.Run()
 	log := rec.Finish(res)
-	if err := log.Validate(); err != nil {
-		return nil, nil, err
+	var rep *hb.OnlineReport
+	if online != nil {
+		rep = online.Report(res.Stopped)
+		log.Online = online.Info(res.Stopped)
 	}
-	return log, res, nil
+	sp.End()
+	if err := log.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	if reg != nil {
+		st := trace.Stats(log)
+		reg.Gauge("record.bits_per_instr_raw").Set(st.RawBitsPerInstr())
+		reg.Gauge("record.bits_per_instr_compressed").Set(st.CompressedBitsPerInstr())
+		reg.Counter("record.log_bytes_raw").Add(uint64(st.RawBytes))
+		reg.Counter("record.log_bytes_compressed").Add(uint64(st.CompressedBytes))
+		reg.Counter("record.executions").Inc()
+	}
+	return log, res, rep, nil
 }

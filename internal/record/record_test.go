@@ -14,7 +14,7 @@ func mustRecord(t *testing.T, src string, cfg machine.Config) (*trace.Log, *mach
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, res, err := Run(prog, cfg)
+	log, res, _, err := Run(prog, cfg, OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestBudgetExhaustionClosesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := Run(prog, machine.Config{Seed: 1, MaxSteps: 100})
+	log, _, _, err := Run(prog, machine.Config{Seed: 1, MaxSteps: 100}, OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := RunWithKeyFrames(prog, machine.Config{Seed: 2}, 10)
+	log, _, _, err := Run(prog, machine.Config{Seed: 2}, OnlineConfig{KeyFrameInterval: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func recordSrc(t *testing.T, src string, cfg machine.Config) (*trace.Log, *machi
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, res, err := record.Run(prog, cfg)
+	log, res, _, err := record.Run(prog, cfg, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -17,19 +16,13 @@ type ThreadState struct {
 
 // ThreadStateAt replays thread tid up to (exactly) idx retired
 // instructions and returns its state. When the log carries key frames
-// (record.RunWithKeyFrames), replay starts from the nearest frame at or
-// before idx instead of instruction zero — iDNA's mid-log resume.
+// (record.OnlineConfig.KeyFrameInterval), replay starts from the nearest
+// frame at or before idx instead of instruction zero — iDNA's mid-log
+// resume.
 //
 // The query is purely per-thread: no other thread's log is consulted,
 // which is exactly the self-containedness property of iDNA logs.
 func ThreadStateAt(log *trace.Log, tid int, idx uint64) (*ThreadState, error) {
-	return ThreadStateAtInstrumented(log, tid, idx, nil)
-}
-
-// ThreadStateAtInstrumented is ThreadStateAt with checkpoint metrics:
-// reg counts key-frame hits vs. cold replays and the instructions each
-// hit saved (replay.checkpoint_* counters).
-func ThreadStateAtInstrumented(log *trace.Log, tid int, idx uint64, reg *obs.Registry) (*ThreadState, error) {
 	tl := log.Thread(tid)
 	if tl == nil {
 		return nil, fmt.Errorf("replay: no thread %d in log", tid)
@@ -47,13 +40,8 @@ func ThreadStateAtInstrumented(log *trace.Log, tid int, idx uint64, reg *obs.Reg
 	// Resume from the nearest key frame at or before idx.
 	frames := tl.KeyFrames
 	at := sort.Search(len(frames), func(i int) bool { return frames[i].Idx > idx })
-	if at == 0 {
-		reg.Counter("replay.checkpoint_misses").Inc()
-	}
 	if at > 0 {
 		kf := frames[at-1]
-		reg.Counter("replay.checkpoint_hits").Inc()
-		reg.Counter("replay.checkpoint_instructions_saved").Add(kf.Idx)
 		tr.cpu.PC = kf.PC
 		tr.cpu.Regs = kf.Regs
 		tr.idx = kf.Idx

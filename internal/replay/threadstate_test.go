@@ -17,11 +17,11 @@ func TestThreadStateAtMatchesFullReplay(t *testing.T) {
 	}
 	// Record twice: with and without key frames. Both logs must answer
 	// state queries identically.
-	plain, _, err := record.Run(prog, machine.Config{Seed: 21})
+	plain, _, _, err := record.Run(prog, machine.Config{Seed: 21}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, _, err := record.RunWithKeyFrames(prog, machine.Config{Seed: 21}, 16)
+	framed, _, _, err := record.Run(prog, machine.Config{Seed: 21}, record.OnlineConfig{KeyFrameInterval: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestThreadStateAtErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 2})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 2}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestKeyFrameLogsSerializeAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.RunWithKeyFrames(prog, machine.Config{Seed: 5}, 8)
+	log, _, _, err := record.Run(prog, machine.Config{Seed: 5}, record.OnlineConfig{KeyFrameInterval: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

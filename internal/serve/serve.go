@@ -500,7 +500,7 @@ func (s *Server) runJob(j *job) {
 // batch of one keeps core's quarantine semantics: panics and replay
 // failures come back as a Quarantined entry, never as a crash.
 func (s *Server) analyze(j *job, log *trace.Log) jobOutcome {
-	results, quarantined := core.AnalyzeLogsInstrumented([]*trace.Log{log}, func(int) classify.Options {
+	results, quarantined := core.AnalyzeLogs([]*trace.Log{log}, func(int) classify.Options {
 		return classify.Options{Scenario: j.label, Seed: log.Seed, DB: s.cfg.DB, Memo: s.memo,
 			Predict: s.cfg.Predict, PredictWindow: s.cfg.PredictWindow}
 	}, 1, s.reg)

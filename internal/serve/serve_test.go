@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
+	recorder "repro/internal/record"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -31,7 +31,7 @@ func recordPayload(t *testing.T, name string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := core.Record(prog, s.Config())
+	log, _, _, err := recorder.Run(prog, s.Config(), recorder.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

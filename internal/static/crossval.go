@@ -114,14 +114,10 @@ func (c *CrossResult) PredRecall() float64 {
 	return float64(c.PredMatched) / float64(c.PredMatched+len(c.PredMissed))
 }
 
-// CrossValidate joins static candidates against dynamic evidence.
-func CrossValidate(rep *Report, ev DynamicEvidence) *CrossResult {
-	return CrossValidateInstrumented(rep, ev, nil)
-}
-
-// CrossValidateInstrumented is CrossValidate publishing static.matched /
-// static.refuted / static.unmatched / static.missed counters into reg.
-func CrossValidateInstrumented(rep *Report, ev DynamicEvidence, reg *obs.Registry) *CrossResult {
+// CrossValidate joins static candidates against dynamic evidence. A
+// non-nil reg receives the static.matched / static.refuted /
+// static.unmatched / static.missed counters; nil is off.
+func CrossValidate(rep *Report, ev DynamicEvidence, reg *obs.Registry) *CrossResult {
 	out := &CrossResult{Prog: rep.Prog, HasPredicted: ev.Predicted != nil}
 	covered := map[hb.SitePair]bool{}
 	for _, c := range rep.Candidates {

@@ -30,7 +30,7 @@ func FuzzAnalyze(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program failed to assemble: %v", err)
 		}
-		rep := Analyze(prog)
+		rep := Analyze(prog, nil)
 		if rep == nil {
 			t.Fatal("Analyze returned nil report")
 		}
@@ -44,7 +44,7 @@ func FuzzAnalyze(f *testing.F) {
 					a.SiteA, a.SiteB, b.SiteA, b.SiteB)
 			}
 		}
-		again := Analyze(prog)
+		again := Analyze(prog, nil)
 		if !reflect.DeepEqual(rep, again) {
 			t.Fatal("Analyze is not deterministic on the same program")
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/record"
 	"repro/internal/static"
 )
 
@@ -109,13 +110,13 @@ func crossOverSeeds(t *testing.T, name, src string, seeds []int64) *static.Cross
 	}
 	var results []*core.Result
 	for _, seed := range seeds {
-		res, err := core.Analyze(prog, machine.Config{Seed: seed}, classify.Options{})
+		res, err := core.Analyze(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, classify.Options{})
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", name, seed, err)
 		}
 		results = append(results, res)
 	}
-	return static.CrossValidate(static.Analyze(prog), core.CollectEvidence(results))
+	return static.CrossValidate(static.Analyze(prog, nil), core.CollectEvidence(results), nil)
 }
 
 // TestGoldenNoStaticFalseNegatives is the zero-FN contract on the shipped

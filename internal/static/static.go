@@ -83,14 +83,9 @@ type Report struct {
 
 // Analyze statically analyzes prog. It never fails: unanalyzable
 // constructs degrade into skip counters in Stats rather than errors, so
-// the fuzz contract is simply "never panic, always terminate".
-func Analyze(prog *isa.Program) *Report {
-	return AnalyzeInstrumented(prog, nil)
-}
-
-// AnalyzeInstrumented is Analyze publishing static.* counters into reg
-// under a "static" span. A nil reg is exactly Analyze.
-func AnalyzeInstrumented(prog *isa.Program, reg *obs.Registry) *Report {
+// the fuzz contract is simply "never panic, always terminate". A non-nil
+// reg receives the static.* counters under a "static" span; nil is off.
+func Analyze(prog *isa.Program, reg *obs.Registry) *Report {
 	sp := reg.StartSpan("static")
 	defer sp.End()
 	rep := &Report{Prog: prog.Name}

@@ -160,7 +160,7 @@ wloop:
   bne r5, r0, wloop
   ldi r1, 0
   sys exit
-`+twoWorkerMain))
+`+twoWorkerMain), nil)
 	if len(rep.Candidates) != 0 {
 		t.Fatalf("consistently locked counter produced %d candidates: %+v",
 			len(rep.Candidates), rep.Candidates)
@@ -187,7 +187,7 @@ wstore:
   bne r5, r0, wloop
   ldi r1, 0
   sys exit
-`+twoWorkerMain))
+`+twoWorkerMain), nil)
 	if len(rep.Candidates) == 0 {
 		t.Fatal("unlocked counter produced no candidates")
 	}
@@ -243,7 +243,7 @@ main:
   ldi r2, g
   ld r4, [r2+0]
   halt
-`))
+`), nil)
 	if len(rep.Candidates) != 0 {
 		t.Fatalf("fork/join-ordered program produced candidates: %+v", rep.Candidates)
 	}
@@ -285,7 +285,7 @@ main:
   mov r1, r9
   sys join
   halt
-`))
+`), nil)
 	var derefs int
 	for _, c := range rep.Candidates {
 		if c.Addr == "*obj" {
@@ -309,7 +309,7 @@ worker:
   ld r4, [r1+0]
   ldi r1, 0
   sys exit
-`+twoWorkerMain))
+`+twoWorkerMain), nil)
 	if len(rep.Candidates) != 0 {
 		t.Fatalf("thread-private heap produced candidates: %+v", rep.Candidates)
 	}
@@ -366,7 +366,7 @@ wdone:
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Analyze(mustAssemble(t, tc.name, ".entry main\n.word g 0\n"+tc.body+twoWorkerMain))
+			rep := Analyze(mustAssemble(t, tc.name, ".entry main\n.word g 0\n"+tc.body+twoWorkerMain), nil)
 			if len(rep.Candidates) == 0 {
 				t.Fatal("no candidates")
 			}
@@ -390,7 +390,7 @@ worker:
   st [r2+0], r3
   ldi r1, 0
   sys exit
-`+twoWorkerMain))
+`+twoWorkerMain), nil)
 	var b strings.Builder
 	rep.Format(&b)
 	out := b.String()
@@ -424,7 +424,7 @@ func TestCrossValidateStates(t *testing.T) {
 			hb.MakeSitePair("xv:x", "xv:y"): "potentially-harmful",
 		},
 	}
-	cross := CrossValidate(rep, ev)
+	cross := CrossValidate(rep, ev, nil)
 	if cross.Matched != 1 || cross.Refuted != 1 || cross.Unmatched != 1 {
 		t.Fatalf("matched/refuted/unmatched = %d/%d/%d, want 1/1/1",
 			cross.Matched, cross.Refuted, cross.Unmatched)

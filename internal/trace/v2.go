@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,10 +17,9 @@ import (
 // flate stream over the whole marshalled log (v1), a fixed self-describing
 // header is followed by a segment index and then independently decodable
 // segments — one meta segment (program + run metadata) and one segment per
-// thread. Segments are stored uncompressed by default so decode is a
-// zero-copy walk over the input buffer (per-segment flate is available
-// behind a header flag for cold storage), and every segment carries a
-// CRC-32C so corruption is localized to the segment it hit. The index is
+// thread. Segments are stored uncompressed so decode is a zero-copy walk
+// over the input buffer, and every segment carries a CRC-32C so
+// corruption is localized to the segment it hit. The index is
 // first, so a reader can plan — fan segments across workers, or stream one
 // thread — after reading only header + index.
 //
@@ -30,7 +27,7 @@ import (
 //
 //	[0:5]    magic "RRSG2"
 //	[5]      version (1)
-//	[6]      flags (bit 0: segments are individually deflated)
+//	[6]      flags (reserved, 0)
 //	[7]      reserved (0)
 //	[8:12]   segment count
 //	[12:16]  CRC-32C of the index bytes
@@ -44,7 +41,7 @@ import (
 //	[4:8]    thread id (0 for the meta segment)
 //	[8:16]   payload offset, relative to the end of the index
 //	[16:24]  encoded payload length
-//	[24:32]  raw (inflated) payload length; equals encoded when not deflated
+//	[24:32]  raw payload length; always equals the encoded length
 //	[32:36]  CRC-32C of the encoded payload
 //	[36:40]  reserved (0)
 //
@@ -60,8 +57,6 @@ const (
 	v2Version       = 1
 	v2HeaderLen     = 16
 	v2IndexEntryLen = 40
-
-	flagSegDeflate = 1 << 0
 
 	segKindMeta   = 0
 	segKindThread = 1
@@ -127,14 +122,8 @@ type segEntry struct {
 	crc    uint32
 }
 
-// MarshalV2 serializes log into the v2 container with uncompressed
-// segments — the zero-copy layout Write-side tooling defaults to.
-func MarshalV2(log *Log) []byte { return EncodeV2(log, false) }
-
-// EncodeV2 serializes log into the v2 container. With compressSegments
-// each segment payload is individually deflated (best compression), which
-// trades decode throughput for the §5.1 compressed-footprint regime.
-func EncodeV2(log *Log, compressSegments bool) []byte {
+// MarshalV2 serializes log into the v2 container.
+func MarshalV2(log *Log) []byte {
 	payloads := make([][]byte, 0, 1+len(log.Threads))
 	entries := make([]segEntry, 0, 1+len(log.Threads))
 	payloads = append(payloads, encodeMetaV2(log))
@@ -144,31 +133,19 @@ func EncodeV2(log *Log, compressSegments bool) []byte {
 		entries = append(entries, segEntry{kind: segKindThread, tid: uint32(t.TID)})
 	}
 
-	var flags byte
-	if compressSegments {
-		flags |= flagSegDeflate
-	}
 	off := uint64(0)
-	total := 0
-	for i, raw := range payloads {
-		enc := raw
-		if compressSegments {
-			enc = deflateBytes(raw)
-		}
+	for i, p := range payloads {
 		entries[i].off = off
-		entries[i].encLen = uint64(len(enc))
-		entries[i].rawLen = uint64(len(raw))
-		entries[i].crc = crc32.Checksum(enc, crcTable)
-		off += uint64(len(enc))
-		total += len(enc)
-		payloads[i] = enc
+		entries[i].encLen = uint64(len(p))
+		entries[i].rawLen = uint64(len(p))
+		entries[i].crc = crc32.Checksum(p, crcTable)
+		off += uint64(len(p))
 	}
 
 	idxLen := len(entries) * v2IndexEntryLen
-	out := make([]byte, v2HeaderLen+idxLen, v2HeaderLen+idxLen+total)
+	out := make([]byte, v2HeaderLen+idxLen, v2HeaderLen+idxLen+int(off))
 	copy(out, fileMagicV2)
 	out[5] = v2Version
-	out[6] = flags
 	binary.LittleEndian.PutUint32(out[8:12], uint32(len(entries)))
 	for i, e := range entries {
 		b := out[v2HeaderLen+i*v2IndexEntryLen:]
@@ -186,23 +163,10 @@ func EncodeV2(log *Log, compressSegments bool) []byte {
 	return out
 }
 
-// WriteV2 serializes log to w in the v2 container (uncompressed segments).
+// WriteV2 serializes log to w in the v2 container.
 func WriteV2(w io.Writer, log *Log) error {
 	_, err := w.Write(MarshalV2(log))
 	return err
-}
-
-func deflateBytes(raw []byte) []byte {
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.BestCompression)
-	if err != nil {
-		panic(err) // only on invalid level
-	}
-	if _, err := fw.Write(raw); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	fw.Close()
-	return out.Bytes()
 }
 
 func encodeSparseRegs(e *encoder, regs *[isa.NumRegs]uint64) {
@@ -342,8 +306,7 @@ func encodeThreadV2(t *ThreadLog) []byte {
 // sdec decodes varints directly off a byte slice — the zero-copy
 // counterpart of the v1 decoder's bytes.Reader, with the same typed-error
 // and count-cap discipline. base is the slice's offset within the
-// container, so reported offsets are container-absolute for uncompressed
-// segments (and payload-relative for deflated ones).
+// container, so reported offsets are container-absolute.
 type sdec struct {
 	buf     []byte
 	off     int
@@ -760,12 +723,9 @@ func (f fileSource) slice(off int64, n int) ([]byte, error) {
 
 // v2Index is the parsed header + index of a v2 container.
 type v2Index struct {
-	flags     byte
 	entries   []segEntry
 	areaStart int
 }
-
-func (x *v2Index) deflated() bool { return x.flags&flagSegDeflate != 0 }
 
 // parseV2Index validates the fixed header and the segment index of a
 // container of `total` bytes, of which hdr holds at least the header and
@@ -786,8 +746,7 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 	if hdr[5] != v2Version {
 		return nil, fail(5, "v2 header", fmt.Errorf("unsupported version %d", hdr[5]))
 	}
-	flags := hdr[6]
-	if flags&^byte(flagSegDeflate) != 0 {
+	if flags := hdr[6]; flags != 0 {
 		return nil, fail(6, "v2 header", fmt.Errorf("unknown flags %#x", flags))
 	}
 	nSegs := binary.LittleEndian.Uint32(hdr[8:12])
@@ -808,10 +767,8 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 		return nil, fail(12, "v2 index", errChecksum)
 	}
 
-	deflated := flags&flagSegDeflate != 0
 	entries := make([]segEntry, nSegs)
 	running := uint64(0)
-	var totalRaw uint64
 	for i := range entries {
 		b := idxBytes[i*v2IndexEntryLen:]
 		e := segEntry{
@@ -832,22 +789,18 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 		if e.off != running {
 			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment %d at offset %d, want packed at %d", i, e.off, running))
 		}
-		if e.rawLen > MaxRawLogBytes {
-			return nil, fail(entryOff, "v2 index", ErrTooLarge)
-		}
-		if !deflated && e.rawLen != e.encLen {
-			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment %d raw length %d != encoded %d without deflate",
-				i, e.rawLen, e.encLen))
-		}
 		// Checked before accumulating so a huge encLen cannot wrap running
 		// past the `> total` guard; running <= total holds on entry, so the
 		// subtraction is safe.
 		if e.encLen > uint64(total)-running {
 			return nil, fail(entryOff, "v2 index", ErrTruncated)
 		}
+		if e.rawLen != e.encLen {
+			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment %d raw length %d != encoded %d",
+				i, e.rawLen, e.encLen))
+		}
 		running += e.encLen
-		totalRaw += e.rawLen
-		if totalRaw > MaxRawLogBytes {
+		if running > MaxRawLogBytes {
 			return nil, fail(entryOff, "v2 index", ErrTooLarge)
 		}
 		entries[i] = e
@@ -856,7 +809,7 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 		return nil, fail(int(areaStart), "v2 index",
 			fmt.Errorf("segments cover %d bytes, container has %d after index", running, total-areaStart))
 	}
-	return &v2Index{flags: flags, entries: entries, areaStart: int(areaStart)}, nil
+	return &v2Index{entries: entries, areaStart: int(areaStart)}, nil
 }
 
 // DecodeV2 parses a v2 container. Thread segments fan across
@@ -873,10 +826,8 @@ func DecodeV2(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
 	return decodeV2Segments(byteSource(data), idx, opts)
 }
 
-// segmentPayload fetches, checksums, and (when flagged) inflates one
-// segment's payload. The returned base is the payload's container offset
-// for error reporting (0 for inflated payloads, whose offsets are
-// payload-relative).
+// segmentPayload fetches and checksums one segment's payload. The
+// returned base is the payload's container offset for error reporting.
 func segmentPayload(src segSource, idx *v2Index, i int, reg *obs.Registry) ([]byte, int, error) {
 	e := idx.entries[i]
 	off := int64(idx.areaStart) + int64(e.off)
@@ -888,20 +839,7 @@ func segmentPayload(src segSource, idx *v2Index, i int, reg *obs.Registry) ([]by
 		reg.Counter("decode.v2.crc_errors").Inc()
 		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i), Err: errChecksum}
 	}
-	if !idx.deflated() {
-		return enc, int(off), nil
-	}
-	fr := flate.NewReader(bytes.NewReader(enc))
-	defer fr.Close()
-	raw, err := io.ReadAll(io.LimitReader(fr, int64(e.rawLen)+1))
-	if err != nil {
-		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i), Err: fmt.Errorf("inflate: %w", err)}
-	}
-	if uint64(len(raw)) != e.rawLen {
-		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i),
-			Err: fmt.Errorf("segment inflated to %d bytes, index says %d", len(raw), e.rawLen)}
-	}
-	return raw, 0, nil
+	return enc, int(off), nil
 }
 
 func decodeV2Segments(src segSource, idx *v2Index, opts V2Options) (*Log, []ThreadFault, error) {
@@ -1012,12 +950,13 @@ func RewriteV2Segment(data []byte, seg int, mutate func(payload []byte)) bool {
 }
 
 // StatsV2 measures log's v2 serialized footprint: RawBytes is the
-// default (uncompressed-segment) container, CompressedBytes the
-// per-segment deflated variant.
+// container itself, CompressedBytes the container deflated whole (the
+// §5.1 zipped-log figure).
 func StatsV2(log *Log) SizeStats {
+	raw := MarshalV2(log)
 	return SizeStats{
 		Instructions:    log.Instructions(),
-		RawBytes:        len(EncodeV2(log, false)),
-		CompressedBytes: len(EncodeV2(log, true)),
+		RawBytes:        len(raw),
+		CompressedBytes: len(Compress(raw)),
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -69,19 +70,16 @@ func richLog() *Log {
 func logsEqual(a, b *Log) bool { return bytes.Equal(Marshal(a), Marshal(b)) }
 
 func TestV2RoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		log := richLog()
-		data := EncodeV2(log, compress)
-		got, faults, err := DecodeV2(data, V2Options{})
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if len(faults) != 0 {
-			t.Fatalf("compress=%v: unexpected faults %v", compress, faults)
-		}
-		if !logsEqual(got, log) {
-			t.Errorf("compress=%v: decoded log differs from original", compress)
-		}
+	log := richLog()
+	got, faults, err := DecodeV2(MarshalV2(log), V2Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(faults) != 0 {
+		t.Fatalf("unexpected faults %v", faults)
+	}
+	if !logsEqual(got, log) {
+		t.Error("decoded log differs from original")
 	}
 }
 
@@ -121,7 +119,6 @@ func TestDecodeSniffsFormats(t *testing.T) {
 		"v1-container": Compress(Marshal(log)),
 		"v1-raw":       Marshal(log),
 		"v2":           MarshalV2(log),
-		"v2-deflate":   EncodeV2(log, true),
 	}
 	for name, data := range cases {
 		got, err := Decode(data)
@@ -289,14 +286,40 @@ func TestV2IndexCorruptionFailsLog(t *testing.T) {
 	}
 }
 
-// encLenOverflowContainer crafts a deflated container whose first thread
-// entry carries an encLen of 2^64-off, so accumulating segment offsets
-// wraps the running sum back to 0; the remaining entries are repacked so
-// every pre-wrap-check invariant (packed offsets, final sum landing on
-// the container end) still holds. The index checksum is recomputed, so
-// only the overflow guard can reject it.
+// TestV2ReservedFlagsRejected: the header flags byte is reserved (the
+// writer leaves it 0). Any set bit — including bit 0, which once marked
+// per-segment deflate — is an unknown flag and a typed header error.
+func TestV2ReservedFlagsRejected(t *testing.T) {
+	data := MarshalV2(richLog())
+	if data[6] != 0 {
+		t.Fatalf("writer set flags %#x, want 0", data[6])
+	}
+	for bit := 0; bit < 8; bit++ {
+		bad := append([]byte(nil), data...)
+		bad[6] = 1 << bit
+		for _, quarantine := range []bool{false, true} {
+			_, _, err := DecodeV2(bad, V2Options{QuarantineThreads: quarantine})
+			var de *DecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("flags %#x quarantine=%v: err = %v, want *DecodeError", bad[6], quarantine, err)
+			}
+			if de.Offset != 6 || de.Section != "v2 header" || !strings.Contains(err.Error(), "unknown flags") {
+				t.Errorf("flags %#x quarantine=%v: err = %v, want unknown flags at header offset 6",
+					bad[6], quarantine, err)
+			}
+		}
+	}
+}
+
+// encLenOverflowContainer crafts a container whose first thread entry
+// carries an encoded (and raw) length of 2^64-off, so accumulating
+// segment offsets wraps the running sum back to 0; the remaining entries
+// are repacked so every pre-wrap-check invariant (packed offsets, raw ==
+// encoded lengths, final sum landing on the container end) still holds.
+// The index checksum is recomputed, so only the overflow guard can
+// reject it with ErrTruncated.
 func encLenOverflowContainer() []byte {
-	data := append([]byte(nil), EncodeV2(richLog(), true)...)
+	data := MarshalV2(richLog())
 	idx, err := parseV2Index(data, int64(len(data)))
 	if err != nil {
 		panic(err)
@@ -304,13 +327,16 @@ func encLenOverflowContainer() []byte {
 	entry := func(i int) []byte {
 		return data[v2HeaderLen+i*v2IndexEntryLen : v2HeaderLen+(i+1)*v2IndexEntryLen]
 	}
-	binary.LittleEndian.PutUint64(entry(1)[16:24], -idx.entries[1].off)
+	setLen := func(i int, n uint64) {
+		binary.LittleEndian.PutUint64(entry(i)[16:24], n)
+		binary.LittleEndian.PutUint64(entry(i)[24:32], n)
+	}
+	setLen(1, -idx.entries[1].off)
 	for i := 2; i < len(idx.entries); i++ {
 		binary.LittleEndian.PutUint64(entry(i)[8:16], 0)
-		binary.LittleEndian.PutUint64(entry(i)[16:24], 0)
+		setLen(i, 0)
 	}
-	last := entry(len(idx.entries) - 1)
-	binary.LittleEndian.PutUint64(last[16:24], uint64(len(data)-idx.areaStart))
+	setLen(len(idx.entries)-1, uint64(len(data)-idx.areaStart))
 	binary.LittleEndian.PutUint32(data[12:16],
 		crc32.Checksum(data[v2HeaderLen:idx.areaStart], crcTable))
 	return data
@@ -319,7 +345,7 @@ func encLenOverflowContainer() []byte {
 // TestV2IndexEncLenOverflow: an index entry whose encoded length wraps
 // the running offset sum past 2^64 must fail with a typed error, never
 // reach segmentPayload with a negative int length (regression: slice
-// bounds panic on a crafted deflated container).
+// bounds panic on a crafted container).
 func TestV2IndexEncLenOverflow(t *testing.T) {
 	data := encLenOverflowContainer()
 	for _, quarantine := range []bool{false, true} {
@@ -371,9 +397,8 @@ func TestDecodeFromFile(t *testing.T) {
 	log := richLog()
 	dir := t.TempDir()
 	cases := map[string][]byte{
-		"v1.rlog":  Compress(Marshal(log)),
-		"v2.rlog":  MarshalV2(log),
-		"v2c.rlog": EncodeV2(log, true),
+		"v1.rlog": Compress(Marshal(log)),
+		"v2.rlog": MarshalV2(log),
 	}
 	for name, data := range cases {
 		path := filepath.Join(dir, name)

@@ -18,7 +18,7 @@ func pipeline(t *testing.T, src string, seed int64) (*replay.Execution, *hb.Repo
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: seed})
+	log, _, _, err := record.Run(prog, machine.Config{Seed: seed}, record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/hb"
+	"repro/internal/record"
 )
 
 // runSuite analyzes every scenario and merges the classifications.
@@ -19,7 +20,7 @@ func runSuite(t *testing.T) *classify.Classification {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		res, err := core.Analyze(prog, s.Config(), classify.Options{Scenario: s.Name, Seed: s.Seed})
+		res, err := core.Analyze(prog, s.Config(), record.OnlineConfig{}, classify.Options{Scenario: s.Name, Seed: s.Seed})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -62,7 +63,7 @@ func TestScenariosAssembleAndRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: assemble: %v", s.Name, err)
 		}
-		log, mres, err := core.Record(prog, s.Config())
+		log, mres, _, err := record.Run(prog, s.Config(), record.OnlineConfig{}, nil)
 		if err != nil {
 			t.Fatalf("%s: record: %v", s.Name, err)
 		}
@@ -153,7 +154,7 @@ func TestBrowseScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, mres, err := core.Record(prog, s.Config())
+	log, mres, _, err := record.Run(prog, s.Config(), record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestServiceScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, mres, err := core.Record(prog, s.Config())
+	log, mres, _, err := record.Run(prog, s.Config(), record.OnlineConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestStressScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(prog, s.Config(), classify.Options{Scenario: "stress", Parallel: 4})
+	res, err := core.Analyze(prog, s.Config(), record.OnlineConfig{}, classify.Options{Scenario: "stress", Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestBudgetTruncatedLogPipeline(t *testing.T) {
 	}
 	cfg := s.Config()
 	cfg.MaxSteps = 400 // far below the scenario's natural length
-	res, err := core.Analyze(prog, cfg, classify.Options{Scenario: "truncated"})
+	res, err := core.Analyze(prog, cfg, record.OnlineConfig{}, classify.Options{Scenario: "truncated"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,8 @@ func crossValidateSuite(run *SuiteRun, jobs int, reg *obs.Registry) *SuiteStatic
 		pool.Submit(func() {
 			results := byName[name]
 			prog := results[0].Prog
-			rep := static.AnalyzeInstrumented(prog, fork)
-			cross := static.CrossValidateInstrumented(rep, core.CollectEvidence(results), fork)
+			rep := static.Analyze(prog, fork)
+			cross := static.CrossValidate(rep, core.CollectEvidence(results), fork)
 			out.Scenarios[i] = ScenarioStatic{Name: name, Report: rep, Cross: cross}
 		})
 	}

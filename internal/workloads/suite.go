@@ -60,7 +60,10 @@ type SuiteOptions struct {
 	Jobs int
 	// Registry, when non-nil, receives pipeline metrics: the merged
 	// "suite/native|record|replay|detect|classify" span ladder, every
-	// stage's counters, and the pool's sched.* metrics.
+	// stage's counters, and the pool's sched.* metrics. Each scenario is
+	// then also run once on a bare machine (no observer) under the
+	// "native" span — the §5.1 baseline the overhead ladder is measured
+	// against. Nil is off.
 	Registry *obs.Registry
 	// Static adds the static cross-validation stage: every base scenario
 	// is lint-analyzed ahead of execution and its candidates joined
@@ -105,15 +108,6 @@ type SuiteOptions struct {
 // developer already marked benign.
 func RunSuite(db *classify.DB) (*SuiteRun, error) {
 	return RunSuiteOpts(SuiteOptions{DB: db})
-}
-
-// RunSuiteInstrumented is RunSuite with pipeline metrics: every
-// scenario's stages run under the merged "suite/record|replay|detect|
-// classify" spans, and each scenario is additionally run once on a bare
-// machine (no observer) under a "native" span — the §5.1 baseline the
-// overhead ladder is measured against. A nil reg is exactly RunSuite.
-func RunSuiteInstrumented(db *classify.DB, reg *obs.Registry) (*SuiteRun, error) {
-	return RunSuiteOpts(SuiteOptions{DB: db, Registry: reg})
 }
 
 // RunSuiteOpts is the suite driver every other entry point delegates
@@ -175,17 +169,8 @@ func RunSuiteOpts(opts SuiteOptions) (*SuiteRun, error) {
 						return fmt.Errorf("native baseline: %w", err)
 					}
 				}
-				var (
-					log  *trace.Log
-					mres *machine.Result
-					err  error
-				)
-				if opts.Online {
-					oc := record.OnlineConfig{Detect: true, StopOnFirstRace: opts.StopOnRace}
-					log, mres, _, err = core.RecordOnlineInstrumented(prog, s.Config(), oc, reg)
-				} else {
-					log, mres, err = core.RecordInstrumented(prog, s.Config(), reg)
-				}
+				oc := record.OnlineConfig{Detect: opts.Online, StopOnFirstRace: opts.StopOnRace}
+				log, mres, _, err := record.Run(prog, s.Config(), oc, reg)
 				if err != nil {
 					return fmt.Errorf("record: %w", err)
 				}
@@ -221,7 +206,7 @@ func RunSuiteOpts(opts SuiteOptions) (*SuiteRun, error) {
 	for i := range recs {
 		logs[i] = recs[i].log
 	}
-	results, quarantined := core.AnalyzeLogsInstrumented(logs, func(i int) classify.Options {
+	results, quarantined := core.AnalyzeLogs(logs, func(i int) classify.Options {
 		o := classify.Options{
 			Scenario:      recs[i].label,
 			Seed:          recs[i].scenario.Seed,
@@ -315,12 +300,6 @@ func publishSuiteMetrics(reg *obs.Registry, run *SuiteRun) {
 // in a potentially-benign verdict (§4.3).
 func RunSuiteSeeds(db *classify.DB, seeds int) (*SuiteRun, error) {
 	return RunSuiteOpts(SuiteOptions{DB: db, Seeds: seeds})
-}
-
-// RunSuiteSeedsInstrumented is RunSuiteSeeds with the same pipeline
-// metrics and native baseline as RunSuiteInstrumented.
-func RunSuiteSeedsInstrumented(db *classify.DB, seeds int, reg *obs.Registry) (*SuiteRun, error) {
-	return RunSuiteOpts(SuiteOptions{DB: db, Seeds: seeds, Registry: reg})
 }
 
 // FindScenario returns the scenario with the given name, or an error.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/core"
+	"repro/internal/record"
 )
 
 // TestEachTemplateInIsolation runs every template in its own one-template
@@ -22,7 +23,7 @@ func TestEachTemplateInIsolation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := core.Analyze(prog, s.Config(), classify.Options{Scenario: s.Name, Seed: s.Seed})
+				res, err := core.Analyze(prog, s.Config(), record.OnlineConfig{}, classify.Options{Scenario: s.Name, Seed: s.Seed})
 				if err != nil {
 					t.Fatal(err)
 				}

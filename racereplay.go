@@ -59,7 +59,9 @@ type (
 	RaceSet = hb.Report
 	// SitePair is the static identity of a race.
 	SitePair = hb.SitePair
-	// Options tunes classification.
+	// Options tunes an analysis: classification, prediction, and the
+	// metrics registry (Options.Metrics) every offline stage publishes
+	// into.
 	Options = classify.Options
 	// Memo is the dual-order replay cache: pass one Memo in
 	// Options.Memo to share cached verdicts across executions of the
@@ -95,8 +97,9 @@ type (
 	// (matched / refuted / unmatched, plus missed dynamic races).
 	StaticCross = static.CrossResult
 	// Metrics is the pipeline-wide observability registry: counters,
-	// gauges, histograms, and stage spans. Every instrumented entry point
-	// accepts a nil *Metrics and then costs nothing.
+	// gauges, histograms, and stage spans. It rides in Options.Metrics,
+	// SuiteOptions.Registry and DecodeOptions.Metrics; nil is off and
+	// then costs nothing.
 	Metrics = obs.Registry
 	// MetricsSnapshot is a frozen registry, renderable as text, JSON, or
 	// Prometheus exposition format.
@@ -118,9 +121,10 @@ type (
 	// AuditExecution is one execution's provenance record within an
 	// AuditFile; Options.Audit points classification at one to fill.
 	AuditExecution = audit.Execution
-	// OnlineConfig controls the online race detector attached to a
-	// recording: detection on/off, stop-on-first-race, and key-frame
-	// down-sampling once a race is confirmed.
+	// OnlineConfig picks a recording's mode: the online race detector
+	// on/off, stop-on-first-race, key frames every KeyFrameInterval
+	// instructions (for ThreadStateAt), and key-frame down-sampling once
+	// a race is confirmed.
 	OnlineConfig = record.OnlineConfig
 	// OnlineReport is the online detector's verdict for one recording:
 	// race-free or the distinct racy site pairs seen, plus screening
@@ -180,8 +184,8 @@ func Assemble(name, src string) (*Program, error) { return asm.Assemble(name, sr
 // MustAssemble is Assemble that panics on error (for known-good sources).
 func MustAssemble(name, src string) *Program { return asm.MustAssemble(name, src) }
 
-// NewMetrics returns an empty observability registry to pass to the
-// *Instrumented entry points.
+// NewMetrics returns an empty observability registry for
+// Options.Metrics, SuiteOptions.Registry or DecodeOptions.Metrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // NewMemo returns an empty dual-order replay cache for Options.Memo.
@@ -191,49 +195,40 @@ func NewMemo() *Memo { return classify.NewMemo() }
 
 // Record runs prog under cfg and returns the replay log.
 func Record(prog *Program, cfg Config) (*Log, error) {
-	log, _, err := core.Record(prog, cfg)
-	return log, err
+	return RecordInstrumented(prog, cfg, nil)
 }
 
 // RecordInstrumented is Record with stage metrics published into reg
 // (nil reg behaves exactly like Record).
 func RecordInstrumented(prog *Program, cfg Config, reg *Metrics) (*Log, error) {
-	log, _, err := core.RecordInstrumented(prog, cfg, reg)
-	return log, err
+	return logOf(record.Run(prog, cfg, OnlineConfig{}, reg))
 }
 
-// RecordWithKeyFrames records like Record but drops a key frame into each
-// thread's log every interval instructions, enabling fast mid-log
-// per-thread state queries (ThreadStateAt).
-func RecordWithKeyFrames(prog *Program, cfg Config, interval uint64) (*Log, error) {
-	log, _, err := record.RunWithKeyFrames(prog, cfg, interval)
-	return log, err
-}
-
-// RecordOnline records with the incremental race detector watching the
-// run: the returned log carries the raced/race-free verdict as its
-// in-memory Online annotation (consumed by AnalyzeLog's race-free fast
-// path) and the report details what the detector saw.
+// RecordOnline records in the mode oc picks. With oc.Detect the
+// incremental race detector watches the run: the returned log carries the
+// raced/race-free verdict as its in-memory Online annotation (consumed by
+// AnalyzeLog's race-free fast path) and the report details what the
+// detector saw. oc.KeyFrameInterval adds key frames, enabling fast
+// mid-log per-thread state queries (ThreadStateAt).
 func RecordOnline(prog *Program, cfg Config, oc OnlineConfig) (*Log, *OnlineReport, error) {
-	log, _, rep, err := core.RecordOnline(prog, cfg, oc)
-	return log, rep, err
+	return RecordOnlineInstrumented(prog, cfg, oc, nil)
 }
 
 // RecordOnlineInstrumented is RecordOnline with stage metrics, including
 // the detect.online.* family, published into reg (nil reg behaves
-// exactly like RecordOnline).
+// exactly like RecordOnline). The report is nil unless oc.Detect is set.
 func RecordOnlineInstrumented(prog *Program, cfg Config, oc OnlineConfig, reg *Metrics) (*Log, *OnlineReport, error) {
-	log, _, rep, err := core.RecordOnlineInstrumented(prog, cfg, oc, reg)
-	return log, rep, err
+	return onlineOf(record.Run(prog, cfg, oc, reg))
 }
 
-// AnalyzeOnlineInstrumented is AnalyzeInstrumented with online detection
-// during the recording: when the online verdict is race-free the offline
-// replay+detect+classify pass is skipped entirely, and any raced or
-// stopped recording falls through to the full offline pass (the source
-// of truth).
-func AnalyzeOnlineInstrumented(prog *Program, cfg Config, oc OnlineConfig, opts Options, reg *Metrics) (*Result, error) {
-	return core.AnalyzeOnlineInstrumented(prog, cfg, oc, opts, reg)
+// logOf and onlineOf drop the parts of a recording the facade does not
+// return.
+func logOf(log *Log, _ *machine.Result, _ *OnlineReport, err error) (*Log, error) {
+	return log, err
+}
+
+func onlineOf(log *Log, _ *machine.Result, rep *OnlineReport, err error) (*Log, *OnlineReport, error) {
+	return log, rep, err
 }
 
 // ThreadStateAt answers a per-thread state query (registers + memory
@@ -247,14 +242,6 @@ func ThreadStateAt(log *Log, tid int, idx uint64) (*replay.ThreadState, error) {
 // sequencing regions, accesses, and live-ins.
 func Replay(log *Log) (*Execution, error) { return replay.Run(log, replay.Options{}) }
 
-// ReplayInstrumented is Replay timed under a "replay" span with the
-// replay.* counters published into reg (nil reg behaves like Replay).
-func ReplayInstrumented(log *Log, reg *Metrics) (*Execution, error) {
-	sp := reg.StartSpan("replay")
-	defer sp.End()
-	return replay.Run(log, replay.Options{Metrics: reg})
-}
-
 // ReplayTo replays only the first n regions of the schedule — the
 // time-travel primitive: replaying successively shorter prefixes steps
 // the execution backwards (iDNA's reverse debugging).
@@ -264,16 +251,8 @@ func ReplayTo(log *Log, n int) (*Execution, error) { return replay.StateAt(log, 
 // execution. It reports no false positives with respect to the recording.
 func DetectRaces(exec *Execution) *RaceSet { return hb.Detect(exec) }
 
-// DetectRacesInstrumented is DetectRaces timed under a "detect" span
-// with the detect.* counters published into reg.
-func DetectRacesInstrumented(exec *Execution, reg *Metrics) *RaceSet {
-	sp := reg.StartSpan("detect")
-	defer sp.End()
-	return hb.DetectInstrumented(exec, reg)
-}
-
 // DetectRacesVC runs the vector-clock ablation detector (DESIGN.md A1).
-func DetectRacesVC(exec *Execution) (*RaceSet, error) { return hb.DetectVC(exec) }
+func DetectRacesVC(exec *Execution) (*RaceSet, error) { return hb.DetectVC(exec, nil) }
 
 // DetectRacesLockset runs the Eraser-style lockset baseline over a
 // replayed execution (it can report false positives).
@@ -303,12 +282,12 @@ func MergeClassifications(parts ...*Classification) *Classification {
 // per-thread-entry CFG, constant-propagation address resolution, must-hold
 // locksets, and benign-idiom hints. It executes nothing and never fails —
 // unanalyzable constructs degrade into the report's skip counters.
-func AnalyzeStatic(prog *Program) *StaticReport { return static.Analyze(prog) }
+func AnalyzeStatic(prog *Program) *StaticReport { return static.Analyze(prog, nil) }
 
 // AnalyzeStaticInstrumented is AnalyzeStatic publishing static.* counters
 // into reg under a "static" span (nil reg behaves like AnalyzeStatic).
 func AnalyzeStaticInstrumented(prog *Program, reg *Metrics) *StaticReport {
-	return static.AnalyzeInstrumented(prog, reg)
+	return static.Analyze(prog, reg)
 }
 
 // CrossValidateStatic joins a static report against the dynamic evidence
@@ -317,13 +296,13 @@ func AnalyzeStaticInstrumented(prog *Program, reg *Metrics) *StaticReport {
 // no race), or unmatched (a site never executed), and dynamic races with
 // no candidate are listed as static false negatives.
 func CrossValidateStatic(rep *StaticReport, results ...*Result) *StaticCross {
-	return static.CrossValidate(rep, core.CollectEvidence(results))
+	return static.CrossValidate(rep, core.CollectEvidence(results), nil)
 }
 
 // CrossValidateStaticInstrumented is CrossValidateStatic publishing the
 // static.matched/refuted/unmatched/missed counters into reg.
 func CrossValidateStaticInstrumented(rep *StaticReport, reg *Metrics, results ...*Result) *StaticCross {
-	return static.CrossValidateInstrumented(rep, core.CollectEvidence(results), reg)
+	return static.CrossValidate(rep, core.CollectEvidence(results), reg)
 }
 
 // PredictRaces runs the prediction pass over a replayed execution:
@@ -342,24 +321,15 @@ func PredictRaces(exec *Execution, opts PredictOptions) *PredictReport {
 func PredictedReport(p *Predicted) string { return report.PredictedReport(p) }
 
 // Analyze runs the whole pipeline: record, replay, detect, classify.
+// opts.Metrics, when set, receives every layer's spans and counters.
 func Analyze(prog *Program, cfg Config, opts Options) (*Result, error) {
-	return core.Analyze(prog, cfg, opts)
-}
-
-// AnalyzeInstrumented is Analyze with every pipeline layer publishing
-// spans and counters into reg (nil reg behaves exactly like Analyze).
-func AnalyzeInstrumented(prog *Program, cfg Config, opts Options, reg *Metrics) (*Result, error) {
-	return core.AnalyzeInstrumented(prog, cfg, opts, reg)
+	return core.Analyze(prog, cfg, OnlineConfig{}, opts)
 }
 
 // AnalyzeLog runs the offline pipeline over an existing log.
+// opts.Metrics, when set, receives the replay/detect/classify spans and
+// counters.
 func AnalyzeLog(log *Log, opts Options) (*Result, error) { return core.AnalyzeLog(log, opts) }
-
-// AnalyzeLogInstrumented is AnalyzeLog with stage metrics (nil reg
-// behaves exactly like AnalyzeLog).
-func AnalyzeLogInstrumented(log *Log, opts Options, reg *Metrics) (*Result, error) {
-	return core.AnalyzeLogInstrumented(log, opts, reg)
-}
 
 // AnalyzeLogs runs the offline pipeline over a batch of logs, fanning
 // the work across jobs workers (jobs < 1 means GOMAXPROCS). optsFor
@@ -368,7 +338,7 @@ func AnalyzeLogInstrumented(log *Log, opts Options, reg *Metrics) (*Result, erro
 // never aborts: a log that fails (or panics) leaves a nil result slot
 // and a Quarantined entry describing the failure.
 func AnalyzeLogs(logs []*Log, optsFor func(i int) Options, jobs int) ([]*Result, []Quarantined) {
-	return core.AnalyzeLogs(logs, optsFor, jobs)
+	return core.AnalyzeLogs(logs, optsFor, jobs, nil)
 }
 
 // AnalyzeLogsInstrumented is AnalyzeLogs with stage metrics: worker
@@ -378,7 +348,7 @@ func AnalyzeLogs(logs []*Log, optsFor func(i int) Options, jobs int) ([]*Result,
 // increments robust.quarantined. A nil reg behaves exactly like
 // AnalyzeLogs.
 func AnalyzeLogsInstrumented(logs []*Log, optsFor func(i int) Options, jobs int, reg *Metrics) ([]*Result, []Quarantined) {
-	return core.AnalyzeLogsInstrumented(logs, optsFor, jobs, reg)
+	return core.AnalyzeLogs(logs, optsFor, jobs, reg)
 }
 
 // AnalyzeSource assembles src and analyzes one execution with the given
@@ -440,8 +410,8 @@ func ValidateLog(log *Log) error { return trace.Validate(log) }
 func LogStats(log *Log) SizeStats { return trace.Stats(log) }
 
 // LogStatsFormat measures a log's footprint in the named container
-// format (v2's RawBytes is the default uncompressed-segment container;
-// its CompressedBytes the per-segment deflated variant).
+// format (v2's RawBytes is the container itself; its CompressedBytes the
+// container deflated whole).
 func LogStatsFormat(log *Log, f LogFormat) SizeStats { return trace.StatsFormat(log, f) }
 
 // LoadDB reads a race database (missing file = empty database).
@@ -461,29 +431,19 @@ func Suite() []Scenario { return workloads.Scenarios() }
 // RunSuite analyzes the whole built-in suite and merges the verdicts.
 func RunSuite(db *DB) (*SuiteRun, error) { return workloads.RunSuite(db) }
 
-// RunSuiteInstrumented is RunSuite with pipeline metrics plus a native
-// (bare machine) baseline run per scenario, so the snapshot can render
-// the §5.1 overhead ladder (nil reg behaves exactly like RunSuite).
-func RunSuiteInstrumented(db *DB, reg *Metrics) (*SuiteRun, error) {
-	return workloads.RunSuiteInstrumented(db, reg)
-}
-
 // RunSuiteSeeds analyzes the suite under several scheduler seeds per
 // scenario, accumulating instances — the paper's coverage lever (§1).
 func RunSuiteSeeds(db *DB, seeds int) (*SuiteRun, error) {
 	return workloads.RunSuiteSeeds(db, seeds)
 }
 
-// RunSuiteSeedsInstrumented is RunSuiteSeeds with the same metrics and
-// native baseline as RunSuiteInstrumented.
-func RunSuiteSeedsInstrumented(db *DB, seeds int, reg *Metrics) (*SuiteRun, error) {
-	return workloads.RunSuiteSeedsInstrumented(db, seeds, reg)
-}
-
 // RunSuiteOpts is the configurable suite driver: recording stays serial
 // (the online half), while the offline analysis of every scenario × seed
 // fans out across opts.Jobs workers with output identical to the serial
-// run. RunSuite and friends are shorthands for common option sets.
+// run; opts.Registry, when set, receives the pipeline metrics plus a
+// native (bare machine) baseline run per scenario, so the snapshot can
+// render the §5.1 overhead ladder. RunSuite and RunSuiteSeeds are
+// shorthands for common option sets.
 func RunSuiteOpts(opts SuiteOptions) (*SuiteRun, error) {
 	return workloads.RunSuiteOpts(opts)
 }

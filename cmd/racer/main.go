@@ -576,32 +576,10 @@ func cmdSuite(args []string) error {
 		}
 	}
 	sp := reg.StartSpan("report")
-	fmt.Fprint(stdout, report.Summary(run.Merged, report.SuiteTruth))
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, report.BuildTable1(run.Merged, report.SuiteTruth).Render())
-	if *predictStage {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.BuildPredictedSection(run).Render())
-	}
-	if *staticStage {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.BuildStaticSection(run).Render())
-	}
-	if *verbose {
-		fmt.Fprintln(stdout)
-		for _, r := range run.Merged.Races {
-			fmt.Fprint(stdout, report.RaceReport(r, report.SuiteTruth))
-		}
-	}
-	printQuarantine(run.Quarantined)
-	if _, harmful := run.Merged.CountByVerdict(); harmful > 0 {
-		raiseExit(1)
-	}
-	if run.Predict != nil && run.Predict.Merged != nil {
-		if _, harmful := run.Predict.Merged.CountByVerdict(); harmful > 0 {
-			raiseExit(1)
-		}
-	}
+	fmt.Fprint(stdout, report.BatchReport{
+		Run: run, Predict: *predictStage, Static: *staticStage, Verbose: *verbose,
+	}.Render())
+	raiseBatchExit(run)
 	sp.End()
 	return metrics.emit(reg)
 }
@@ -784,15 +762,18 @@ func cmdLint(args []string) error {
 	return metrics.emit(reg)
 }
 
-// printQuarantine renders the quarantine section (if any) and raises
-// the exit status to 2: the analysis completed, but over degraded input.
-func printQuarantine(items []racereplay.Quarantined) {
-	if len(items) == 0 {
-		return
+// raiseBatchExit applies the exit-code contract to a batch report:
+// 2 when any input was quarantined (the analysis completed, but over
+// degraded input) or nothing was analyzed (never "clean" on the
+// strength of an empty report), 1 when any verdict, observed or
+// predicted, is potentially harmful.
+func raiseBatchExit(run *workloads.SuiteRun) {
+	if len(run.Quarantined) > 0 || len(run.Scenarios) == 0 {
+		raiseExit(2)
 	}
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, report.QuarantineSection(items))
-	raiseExit(2)
+	if run.Harmful() {
+		raiseExit(1)
+	}
 }
 
 func printClassification(c *racereplay.Classification, filter string) {
@@ -845,21 +826,11 @@ func cmdRecordSuite(args []string) error {
 	// too. Logs land in index-addressed slots and are written, summed,
 	// and (for metrics) adopted in index order, keeping the output
 	// identical at any worker count.
-	type recJob struct {
-		s    racereplay.Scenario
-		k    int
-		prog *racereplay.Program
-	}
-	var work []recJob
-	for _, base := range workloads.Scenarios() {
-		for k := 0; k < *seeds; k++ {
-			s := base
-			s.Seed = base.Seed + int64(7777*k)
-			prog, err := s.Program()
-			if err != nil {
-				return err
-			}
-			work = append(work, recJob{s: s, k: k, prog: prog})
+	work := workloads.SeedRuns(*seeds)
+	progs := make([]*racereplay.Program, len(work))
+	for i, sr := range work {
+		if progs[i], err = sr.Scenario.Program(); err != nil {
+			return err
 		}
 	}
 	logs := make([]*racereplay.Log, len(work))
@@ -871,14 +842,14 @@ func cmdRecordSuite(args []string) error {
 		forks[i] = reg.Fork()
 		pool.Submit(func() {
 			logs[i], _, errs[i] = racereplay.RecordOnlineInstrumented(
-				work[i].prog, work[i].s.Config(), racereplay.OnlineConfig{Detect: *online}, forks[i])
+				progs[i], work[i].Scenario.Config(), racereplay.OnlineConfig{Detect: *online}, forks[i])
 		})
 	}
 	pool.Wait()
 	for i, f := range forks {
 		reg.Adopt(f)
 		if errs[i] != nil {
-			return fmt.Errorf("%s seed %d: %w", work[i].s.Name, work[i].s.Seed, errs[i])
+			return fmt.Errorf("%s seed %d: %w", work[i].Scenario.Name, work[i].Scenario.Seed, errs[i])
 		}
 	}
 
@@ -887,7 +858,7 @@ func cmdRecordSuite(args []string) error {
 	man := racereplay.NewManifest()
 	raceFree := 0
 	for i, log := range logs {
-		name := fmt.Sprintf("%s-%d.rlog", work[i].s.Name, work[i].k)
+		name := fmt.Sprintf("%s-%d.rlog", work[i].Scenario.Name, work[i].K)
 		path := filepath.Join(*dir, name)
 		f, err := os.Create(path)
 		if err != nil {
@@ -966,13 +937,9 @@ func cmdAnalyzeDir(args []string) error {
 	// Corrupt or unreadable logs quarantine instead of aborting the
 	// batch: the analysis completes over the healthy files and the
 	// report lists every excluded one with its typed error (exit 2).
-	// Audit envelopes are slot-indexed by directory order, quarantined
-	// files included, so the trail covers every input.
-	var logs []*racereplay.Log
-	var labels []string
-	var slotOf []int
-	var quarantined []racereplay.Quarantined
-	var audits []*racereplay.AuditExecution
+	// Items are slot-indexed by directory order, quarantined files
+	// included, so the audit trail covers every input.
+	items := make([]workloads.BatchItem, len(entries))
 	decodeSp := reg.StartSpan("decode")
 	// File decodes fan across the worker pool (a lone file fans its v2
 	// thread segments across the same budget instead). Each worker
@@ -1017,22 +984,12 @@ func cmdAnalyzeDir(args []string) error {
 		reg.Adopt(decForks[i])
 		label := filepath.Base(path)
 		log, err := slots[i].log, slots[i].err
-		var ae *racereplay.AuditExecution
-		if *auditOut != "" {
-			ae = &racereplay.AuditExecution{Scenario: label}
-			audits = append(audits, ae)
-		}
+		items[i] = workloads.BatchItem{Label: label, Err: err}
 		if err != nil {
-			quarantined = append(quarantined, racereplay.Quarantined{
-				Index: i, Label: label, Err: err,
-			})
 			reg.Counter("robust.quarantined").Inc()
 			reg.EmitLabeled("quarantine", label, uint64(i))
 			reg.Logger().Warn("log quarantined at decode",
 				"file", label, "err", err.Error())
-			if ae != nil {
-				ae.Quarantined = err.Error()
-			}
 			continue
 		}
 		for _, tf := range slots[i].faults {
@@ -1040,133 +997,43 @@ func cmdAnalyzeDir(args []string) error {
 				"file", label, "segment", tf.Segment, "tid", tf.TID, "err", tf.Err.Error())
 		}
 		reg.EmitLabeled("decode", label, log.Instructions())
-		var digest string
-		if ae != nil || man != nil {
-			digest = racereplay.LogDigest(log)
+		if man != nil {
+			if e := man.Lookup(label, racereplay.LogDigest(log)); e != nil {
+				log.Online = e.Online()
+				reg.Counter("decode.manifest_verdicts").Inc()
+			}
 		}
-		if ae != nil {
-			ae.Seed = log.Seed
-			ae.LogSHA256 = digest
-		}
-		if e := man.Lookup(label, digest); e != nil {
-			log.Online = e.Online()
-			reg.Counter("decode.manifest_verdicts").Inc()
-		}
-		logs = append(logs, log)
-		labels = append(labels, label)
-		slotOf = append(slotOf, i)
+		items[i].Log = log
+		items[i].Scenario = workloads.Scenario{Name: logGroup(label), Seed: log.Seed}
 	}
 	decodeSp.End()
-	results, analysisQuarantined := racereplay.AnalyzeLogsInstrumented(logs, func(i int) racereplay.Options {
-		o := racereplay.Options{Scenario: labels[i], Seed: logs[i].Seed, DB: db, Predict: *predictStage}
-		if *auditOut != "" {
-			o.Audit = audits[slotOf[i]]
-		}
-		return o
-	}, *jobs, reg)
-	quarantined = append(quarantined, analysisQuarantined...)
+	run := workloads.AnalyzeBatch(items, workloads.SuiteOptions{
+		DB: db, Jobs: *jobs, Registry: reg, Static: *staticStage, Audit: *auditOut != "", Predict: *predictStage,
+	})
 	if *auditOut != "" {
-		for _, q := range analysisQuarantined {
-			ae := audits[slotOf[q.Index]]
-			ae.Quarantined = q.Err.Error()
-			ae.Races = nil
-		}
-		file := racereplay.NewAuditFile()
-		for _, ae := range audits {
-			file.Executions = append(file.Executions, *ae)
-		}
-		file.DeriveCacheHits()
-		if err := file.WriteFile(*auditOut); err != nil {
+		if err := run.Audit.WriteFile(*auditOut); err != nil {
 			return err
 		}
 	}
-	var parts []*racereplay.Classification
-	for _, res := range results {
-		if res != nil {
-			parts = append(parts, res.Classification)
-		}
-	}
-	merged := racereplay.MergeClassifications(parts...)
-	fmt.Fprintf(stdout, "analyzed %d recorded executions\n", len(parts))
-	fmt.Fprint(stdout, report.Summary(merged, report.SuiteTruth))
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, report.BuildTable1(merged, report.SuiteTruth).Render())
-	var suitePredict *workloads.SuitePredict
-	if *predictStage {
-		suitePredict = workloads.BuildSuitePredict(labels, results)
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.PredictedSection{Suite: suitePredict}.Render())
-	}
-	if *staticStage {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.StaticSection{Suite: staticOverDir(labels, results, reg)}.Render())
-	}
-	printQuarantine(quarantined)
-	if len(parts) == 0 {
-		// Exit-code contract, made explicit: a batch in which every
-		// input was quarantined analyzed nothing, so it must read as
-		// invalid input (2), never as "clean" (0) — even if the
-		// quarantine bookkeeping above ever changes shape.
-		raiseExit(2)
-	}
-	if _, harmful := merged.CountByVerdict(); harmful > 0 {
-		raiseExit(1)
-	}
-	if suitePredict != nil && suitePredict.Merged != nil {
-		if _, harmful := suitePredict.Merged.CountByVerdict(); harmful > 0 {
-			raiseExit(1)
-		}
-	}
+	fmt.Fprintf(stdout, "analyzed %d recorded executions\n", len(run.Scenarios))
+	fmt.Fprint(stdout, report.BatchReport{Run: run, Predict: *predictStage, Static: *staticStage}.Render())
+	raiseBatchExit(run)
 	return metrics.emit(reg)
 }
 
-// staticOverDir runs the static cross-validation stage over analyze-dir
-// results. Log files from record-suite are named "<scenario>-<k>.rlog", so
-// results grouped by the label minus its "-<k>" suffix pool the dynamic
-// evidence of one program's seeds, exactly like the live suite; foreign
-// file names fall back to one group per file. Programs decoded from logs
-// carry no data-symbol table, so candidate cells render as hex addresses.
-func staticOverDir(labels []string, results []*racereplay.Result, reg *racereplay.Metrics) *workloads.SuiteStatic {
-	baseOf := func(label string) string {
-		base := strings.TrimSuffix(label, ".rlog")
-		if i := strings.LastIndexByte(base, '-'); i > 0 {
-			if _, err := fmt.Sscanf(base[i+1:], "%d", new(int)); err == nil {
-				return base[:i]
-			}
-		}
-		return base
+// logGroup is the static grouping key of a log file. record-suite names
+// its logs "<scenario>-<k>.rlog", so the key drops ".rlog" and an
+// all-digit "-<k>" suffix, pooling one program's seeds exactly like the
+// live suite; any other name is a group of its own. Programs decoded
+// from logs carry no data-symbol table, so the static section's
+// candidate cells render as hex addresses.
+func logGroup(file string) string {
+	base := strings.TrimSuffix(file, ".rlog")
+	i := strings.LastIndexByte(base, '-')
+	if i > 0 && i < len(base)-1 && strings.Trim(base[i+1:], "0123456789") == "" {
+		return base[:i]
 	}
-	byBase := map[string][]*racereplay.Result{}
-	var order []string
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		b := baseOf(labels[i])
-		if _, ok := byBase[b]; !ok {
-			order = append(order, b)
-		}
-		byBase[b] = append(byBase[b], res)
-	}
-	suite := &workloads.SuiteStatic{}
-	for _, b := range order {
-		group := byBase[b]
-		rep := racereplay.AnalyzeStaticInstrumented(group[0].Prog, reg)
-		cross := racereplay.CrossValidateStaticInstrumented(rep, reg, group...)
-		suite.Scenarios = append(suite.Scenarios, workloads.ScenarioStatic{Name: b, Report: rep, Cross: cross})
-		suite.Matched += cross.Matched
-		suite.Refuted += cross.Refuted
-		suite.Unmatched += cross.Unmatched
-		suite.Missed += len(cross.Missed)
-		if cross.HasPredicted {
-			suite.HasPredicted = true
-			suite.PredMatched += cross.PredMatched
-			suite.PredRefuted += cross.PredRefuted
-			suite.PredUnmatched += cross.PredUnmatched
-			suite.PredMissed += len(cross.PredMissed)
-		}
-	}
-	return suite
+	return base
 }
 
 // cmdValidate decodes and structurally checks logs without analyzing

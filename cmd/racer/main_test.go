@@ -532,6 +532,74 @@ func TestCmdRecordSuiteAndAnalyzeDirParallel(t *testing.T) {
 	if !strings.Contains(serial, "analyzed 18 recorded executions") {
 		t.Errorf("analyze-dir output: %s", serial[:120])
 	}
+
+	// The same round trip with both optional stages on: the prediction
+	// and static sections must render, and identically at any width.
+	stages := func(jobs string) string {
+		return capture(t, func() error {
+			return cmdAnalyzeDir([]string{"-dir", dir, "-jobs", jobs, "-static", "-predict"})
+		})
+	}
+	serial, parallel = stages("1"), stages("8")
+	if serial != parallel {
+		t.Fatalf("analyze-dir -static -predict output diverges between -jobs 1 and -jobs 8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", serial, parallel)
+	}
+	for _, want := range []string{
+		"Predicted races (lockset + weak-HB reordering, classified by replay)\n  scenario ",
+		"\n  exec01-0.rlog ",
+		"Static cross-validation (lint vs dynamic HB + replay)\n  scenario ",
+		"\n  exec18 ",
+		" refuted, 0 unmatched, 0 missed\n",
+	} {
+		if !strings.Contains(serial, want) {
+			t.Errorf("analyze-dir -static -predict output missing %q:\n%s", want, serial)
+		}
+	}
+}
+
+// TestAnalyzeDirStaticGroupsOnlySeedSuffixes: the static stage pools the
+// logs of one program by record-suite's "<scenario>-<k>.rlog" naming, and
+// only an all-digit k counts. A foreign "exec02-1x.rlog" (here exec01's
+// log under another name) is its own group; pooled with exec02's seeds it
+// would charge exec02's lint report with a race its program cannot have.
+func TestAnalyzeDirStaticGroupsOnlySeedSuffixes(t *testing.T) {
+	rec := filepath.Join(t.TempDir(), "rec")
+	capture(t, func() error { return cmdRecordSuite([]string{"-dir", rec, "-seeds", "2"}) })
+	dir := filepath.Join(t.TempDir(), "mixed")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for src, dst := range map[string]string{
+		"exec02-0.rlog": "exec02-0.rlog",
+		"exec02-1.rlog": "exec02-1.rlog",
+		"exec01-0.rlog": "exec02-1x.rlog",
+	} {
+		data, err := os.ReadFile(filepath.Join(rec, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, dst), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := capture(t, func() error { return cmdAnalyzeDir([]string{"-dir", dir, "-static"}) })
+	section := out[strings.Index(out, "Static cross-validation"):]
+	var rows []string
+	for _, line := range strings.Split(section, "\n")[2:] {
+		if !strings.HasPrefix(line, "  total:") {
+			rows = append(rows, strings.Join(strings.Fields(line), " "))
+			continue
+		}
+		if want := "  total: 16 matched, 0 refuted, 0 unmatched, 0 missed"; line != want {
+			t.Errorf("static total = %q, want %q", line, want)
+		}
+		break
+	}
+	// Columns: scenario, candidates, matched, refuted, unmatched, missed.
+	want := []string{"exec02 8 8 0 0 0", "exec02-1x 8 8 0 0 0"}
+	if strings.Join(rows, "|") != strings.Join(want, "|") {
+		t.Errorf("static rows = %q, want %q\n%s", rows, want, out)
+	}
 }
 
 // TestFormatDivergence: the container format is transport, never

@@ -183,15 +183,6 @@ func (m *Memo) Len() int { return m.m.Len() }
 // Bytes returns the approximate retained size of the cached results.
 func (m *Memo) Bytes() uint64 { return m.bytes.Load() }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (m *Memo) HitRate() float64 {
-	h, s := m.hits.Load(), m.hits.Load()+m.misses.Load()
-	if s == 0 {
-		return 0
-	}
-	return float64(h) / float64(s)
-}
-
 // oracleSalts distinguishes the oracle configurations of successive
 // classification passes: oracle answers depend on the whole execution,
 // so oracle-mode fingerprints are only shareable within one Run (see

@@ -17,15 +17,6 @@ type PredictedSection struct {
 	Suite *workloads.SuitePredict
 }
 
-// BuildPredictedSection wraps a suite's prediction stage (nil-safe: a
-// run without the stage renders as a one-line note).
-func BuildPredictedSection(run *workloads.SuiteRun) PredictedSection {
-	if run == nil {
-		return PredictedSection{}
-	}
-	return PredictedSection{Suite: run.Predict}
-}
-
 // Render produces the plain-text section.
 func (s PredictedSection) Render() string {
 	var b strings.Builder

@@ -128,13 +128,6 @@ func (q *FairQueue[T]) Len() int {
 	return q.total
 }
 
-// TenantLen returns the number of items queued for one tenant.
-func (q *FairQueue[T]) TenantLen(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.tenants[tenant])
-}
-
 // Close stops intake: subsequent Pushes fail with ErrQueueClosed, Pops
 // drain the backlog and then return ok == false.
 func (q *FairQueue[T]) Close() {

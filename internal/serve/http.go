@@ -17,6 +17,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // uploadResponse is the JSON body of POST /v1/upload.
@@ -336,17 +337,9 @@ func (s *Server) MergedReport() (text string, pending int) {
 			pending++
 		}
 	}
-	merged := classify.Merge(parts...)
-	var b []byte
-	b = fmt.Appendf(b, "analyzed %d recorded executions\n", analyzed)
-	b = append(b, report.Summary(merged, report.SuiteTruth)...)
-	b = append(b, '\n')
-	b = append(b, report.BuildTable1(merged, report.SuiteTruth).Render()...)
-	if len(quarantined) > 0 {
-		b = append(b, '\n')
-		b = append(b, report.QuarantineSection(quarantined)...)
-	}
-	return string(b), pending
+	run := &workloads.SuiteRun{Merged: classify.Merge(parts...), Quarantined: quarantined}
+	text = fmt.Sprintf("analyzed %d recorded executions\n", analyzed) + report.BatchReport{Run: run}.Render()
+	return text, pending
 }
 
 // renderJobReport renders one job's verdict in the same shape as a
@@ -354,11 +347,7 @@ func (s *Server) MergedReport() (text string, pending int) {
 // JSON view.
 func renderJobReport(c *classify.Classification) (text string, benign, harmful int) {
 	benign, harmful = c.CountByVerdict()
-	var b []byte
-	b = append(b, report.Summary(c, report.SuiteTruth)...)
-	b = append(b, '\n')
-	b = append(b, report.BuildTable1(c, report.SuiteTruth).Render()...)
-	return string(b), benign, harmful
+	return report.BatchReport{Run: &workloads.SuiteRun{Merged: c}}.Render(), benign, harmful
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -98,22 +98,6 @@ func (c *CrossResult) Recall() float64 {
 	return float64(c.Matched) / float64(c.Matched+len(c.Missed))
 }
 
-// PredPrecision and PredRecall are Precision/Recall against the
-// prediction engine's race set instead of the observed one.
-func (c *CrossResult) PredPrecision() float64 {
-	if c.PredMatched+c.PredRefuted == 0 {
-		return 1
-	}
-	return float64(c.PredMatched) / float64(c.PredMatched+c.PredRefuted)
-}
-
-func (c *CrossResult) PredRecall() float64 {
-	if c.PredMatched+len(c.PredMissed) == 0 {
-		return 1
-	}
-	return float64(c.PredMatched) / float64(c.PredMatched+len(c.PredMissed))
-}
-
 // CrossValidate joins static candidates against dynamic evidence. A
 // non-nil reg receives the static.matched / static.refuted /
 // static.unmatched / static.missed counters; nil is off.

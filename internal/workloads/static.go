@@ -32,9 +32,10 @@ type SuiteStatic struct {
 	PredMissed    int
 }
 
-// crossValidateSuite runs the static analyzer over every base scenario of
-// the suite and joins each report against the dynamic evidence from all
-// of that scenario's seeds. The per-scenario work fans out across the
+// crossValidateSuite runs the static analyzer over every program of the
+// run — one per Scenario.Name, the grouping key AnalyzeBatch's inputs
+// carry — and joins each report against the dynamic evidence from all
+// of that group's executions. The per-group work fans out across the
 // same worker-pool discipline as the offline analysis: forked registries
 // adopted in input order keep the metrics and the rendered section
 // byte-identical at every worker count.

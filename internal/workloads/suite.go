@@ -20,13 +20,14 @@ type ScenarioRun struct {
 	Result   *core.Result
 }
 
-// SuiteRun is the analysis of the whole 18-execution suite.
+// SuiteRun is the analysis of a batch: the whole 18-execution suite, or
+// any set of recorded executions handed to AnalyzeBatch.
 type SuiteRun struct {
 	Scenarios []ScenarioRun
 	Merged    *classify.Classification
-	// Quarantined lists the scenario×seed items that failed — a program
-	// that would not build, a recording that died, a log that would not
-	// replay, or an analysis that panicked. The run completes with the
+	// Quarantined lists the input slots that failed — a program that
+	// would not build, a recording that died, a file that would not
+	// decode, a log that would not replay, or an analysis that panicked. The run completes with the
 	// healthy scenarios; quarantined items carry their label and error
 	// for the report's quarantine section.
 	Quarantined []core.Quarantined
@@ -35,10 +36,10 @@ type SuiteRun struct {
 	// against the dynamic evidence above.
 	Static *SuiteStatic
 	// Audit is the verdict-provenance trail (nil unless
-	// SuiteOptions.Audit was set): one audit.Execution per scenario ×
-	// seed slot, in suite order, quarantined slots included. The file
-	// is a deterministic function of the suite inputs — byte-identical
-	// at every Jobs count.
+	// SuiteOptions.Audit was set): one audit.Execution per input slot,
+	// in input order, quarantined slots included. The file is a
+	// deterministic function of the inputs — byte-identical at every
+	// Jobs count.
 	Audit *audit.File
 	// Predict is the prediction stage's aggregation (nil unless
 	// SuiteOptions.Predict was set): per-execution candidate counts and
@@ -124,10 +125,6 @@ func RunSuite(db *classify.DB) (*SuiteRun, error) {
 // The error return is reserved for failures that leave nothing to
 // report.
 func RunSuiteOpts(opts SuiteOptions) (*SuiteRun, error) {
-	seeds := opts.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
 	reg := opts.Registry
 	suite := reg.StartSpan("suite")
 	defer suite.End()
@@ -135,99 +132,140 @@ func RunSuiteOpts(opts SuiteOptions) (*SuiteRun, error) {
 	// Online half: record every scenario × seed serially, keeping the
 	// native baseline next to each recording as before. A recording
 	// that fails — or panics — quarantines its scenario×seed slot.
-	type recording struct {
-		scenario Scenario
-		label    string
-		slot     int
-		log      *trace.Log
-		machine  *machine.Result
+	runs := SeedRuns(opts.Seeds)
+	items := make([]BatchItem, len(runs))
+	for slot, sr := range runs {
+		s := sr.Scenario
+		label := s.Name
+		if opts.Seeds > 1 {
+			label = fmt.Sprintf("%s#%d", s.Name, sr.K)
+		}
+		item := BatchItem{Label: label, Scenario: s}
+		item.Err = sched.Guard(reg, func() error {
+			prog, err := s.Program()
+			if err != nil {
+				return fmt.Errorf("program: %w", err)
+			}
+			if reg != nil {
+				if err := runNative(prog, s.Config(), reg); err != nil {
+					return fmt.Errorf("native baseline: %w", err)
+				}
+			}
+			oc := record.OnlineConfig{Detect: opts.Online, StopOnFirstRace: opts.StopOnRace}
+			item.Log, item.Machine, _, err = record.Run(prog, s.Config(), oc, reg)
+			if err != nil {
+				return fmt.Errorf("record: %w", err)
+			}
+			return nil
+		})
+		if item.Err != nil {
+			reg.Counter("robust.quarantined").Inc()
+			reg.EmitLabeled("quarantine", label, uint64(slot))
+			reg.Logger().Warn("recording quarantined",
+				"slot", slot, "scenario", label, "err", item.Err.Error())
+		}
+		items[slot] = item
 	}
-	run := &SuiteRun{}
-	var recs []recording
-	// Audit envelopes, one per scenario×seed slot in suite order;
-	// classify fills each healthy slot's Races through the pointer.
-	var audits []*audit.Execution
-	slot := 0
+	return AnalyzeBatch(items, opts), nil
+}
+
+// SeedRun is one entry of the suite's scenario × seed work list: the
+// scenario scheduled under its K-th seed.
+type SeedRun struct {
+	Scenario Scenario
+	K        int
+}
+
+// SeedRuns expands the suite into its scenario × seed work list, in
+// suite order: every scenario seeds times (values below 1 mean 1), the
+// K-th copy scheduled under the base seed plus 7777·K.
+func SeedRuns(seeds int) []SeedRun {
+	seeds = max(seeds, 1)
+	var runs []SeedRun
 	for _, base := range Scenarios() {
-		// One assembly per scenario: the program does not depend on the
-		// seed, only the machine configuration does.
-		prog, progErr := base.Program()
 		for k := 0; k < seeds; k++ {
 			s := base
 			s.Seed = base.Seed + int64(7777*k)
-			label := s.Name
-			if seeds > 1 {
-				label = fmt.Sprintf("%s#%d", s.Name, k)
-			}
-			rec := recording{scenario: s, label: label, slot: slot}
-			err := sched.Guard(reg, func() error {
-				if progErr != nil {
-					return fmt.Errorf("program: %w", progErr)
-				}
-				if reg != nil {
-					if err := runNative(prog, s.Config(), reg); err != nil {
-						return fmt.Errorf("native baseline: %w", err)
-					}
-				}
-				oc := record.OnlineConfig{Detect: opts.Online, StopOnFirstRace: opts.StopOnRace}
-				log, mres, _, err := record.Run(prog, s.Config(), oc, reg)
-				if err != nil {
-					return fmt.Errorf("record: %w", err)
-				}
-				rec.log, rec.machine = log, mres
-				return nil
-			})
-			if opts.Audit {
-				ae := &audit.Execution{Scenario: label, Seed: s.Seed}
-				if err == nil {
-					ae.LogSHA256 = core.LogDigest(rec.log)
-				} else {
-					ae.Quarantined = err.Error()
-				}
-				audits = append(audits, ae)
-			}
-			if err != nil {
-				run.Quarantined = append(run.Quarantined, core.Quarantined{Index: slot, Label: label, Err: err})
-				reg.Counter("robust.quarantined").Inc()
-				reg.EmitLabeled("quarantine", label, uint64(slot))
-				reg.Logger().Warn("recording quarantined",
-					"slot", slot, "scenario", label, "err", err.Error())
-			} else {
-				recs = append(recs, rec)
-			}
-			slot++
+			runs = append(runs, SeedRun{Scenario: s, K: k})
 		}
 	}
+	return runs
+}
 
-	// Offline half: replay, detect, and classify every healthy log
-	// across the shared pool; results land in input order and bad logs
-	// land in quarantine without aborting the batch.
-	logs := make([]*trace.Log, len(recs))
-	for i := range recs {
-		logs[i] = recs[i].log
+// BatchItem is one input slot of AnalyzeBatch: a recorded execution, or
+// the error that kept it from being one.
+type BatchItem struct {
+	// Label names the slot in the report, the quarantine section and
+	// the audit trail ("exec01#1", "exec01-1.rlog").
+	Label string
+	// Scenario carries the slot's seed and, in Name, its static
+	// grouping key: slots sharing a name are executions of one program
+	// and pool their dynamic evidence against one lint report.
+	Scenario Scenario
+	Log      *trace.Log
+	// Machine, when set, rides along into the slot's core.Result.
+	Machine *machine.Result
+	// Err quarantines the slot: its recording or decode failed. The
+	// caller has already counted and logged the failure.
+	Err error
+}
+
+// AnalyzeBatch is the offline half every batch entry point shares —
+// the live suite, a directory of recorded logs, and serve's merged
+// report all end here. It replays, detects and classifies every healthy
+// slot across opts.Jobs workers, merges the verdicts across executions,
+// and adds the stages opts requests: the audit trail (one envelope per
+// slot, quarantined slots included), the prediction aggregate, and the
+// static cross-validation grouped by Scenario.Name. Output is
+// byte-identical at every worker count.
+func AnalyzeBatch(items []BatchItem, opts SuiteOptions) *SuiteRun {
+	reg := opts.Registry
+	run := &SuiteRun{}
+	// Audit envelopes, one per slot; envelopes[i] is the one of the
+	// i-th healthy slot (nil with Audit off), and classify fills its
+	// Races through the pointer.
+	var audits, envelopes []*audit.Execution
+	var healthy []BatchItem
+	var logs []*trace.Log
+	for slot, it := range items {
+		var ae *audit.Execution
+		if opts.Audit {
+			ae = &audit.Execution{Scenario: it.Label, Seed: it.Scenario.Seed}
+			audits = append(audits, ae)
+		}
+		if it.Err != nil {
+			run.Quarantined = append(run.Quarantined, core.Quarantined{Index: slot, Label: it.Label, Err: it.Err})
+			if ae != nil {
+				ae.Quarantined = it.Err.Error()
+			}
+			continue
+		}
+		if ae != nil {
+			ae.LogSHA256 = core.LogDigest(it.Log)
+		}
+		healthy = append(healthy, it)
+		envelopes = append(envelopes, ae)
+		logs = append(logs, it.Log)
 	}
+
 	results, quarantined := core.AnalyzeLogs(logs, func(i int) classify.Options {
-		o := classify.Options{
-			Scenario:      recs[i].label,
-			Seed:          recs[i].scenario.Seed,
+		return classify.Options{
+			Scenario:      healthy[i].Label,
+			Seed:          healthy[i].Scenario.Seed,
 			DB:            opts.DB,
 			NoMemo:        opts.NoMemo,
 			Predict:       opts.Predict,
 			PredictWindow: opts.PredictWindow,
+			Audit:         envelopes[i],
 		}
-		if opts.Audit {
-			o.Audit = audits[recs[i].slot]
-		}
-		return o
 	}, opts.Jobs, reg)
 	run.Quarantined = append(run.Quarantined, quarantined...)
 	if opts.Audit {
 		// Analysis-time quarantines supersede whatever classify may have
 		// started writing before the failure.
 		for _, q := range quarantined {
-			ae := audits[recs[q.Index].slot]
-			ae.Quarantined = q.Err.Error()
-			ae.Races = nil
+			envelopes[q.Index].Quarantined = q.Err.Error()
+			envelopes[q.Index].Races = nil
 		}
 		run.Audit = audit.NewFile()
 		for _, ae := range audits {
@@ -237,29 +275,38 @@ func RunSuiteOpts(opts SuiteOptions) (*SuiteRun, error) {
 	}
 
 	var parts []*classify.Classification
-	var labels []string
+	labels := make([]string, len(healthy))
 	for i, res := range results {
+		labels[i] = healthy[i].Label
 		if res == nil {
 			continue
 		}
-		res.Machine = recs[i].machine
-		run.Scenarios = append(run.Scenarios, ScenarioRun{Scenario: recs[i].scenario, Result: res})
+		res.Machine = healthy[i].Machine
+		run.Scenarios = append(run.Scenarios, ScenarioRun{Scenario: healthy[i].Scenario, Result: res})
 		parts = append(parts, res.Classification)
-		labels = append(labels, recs[i].label)
 	}
 	run.Merged = classify.Merge(parts...)
 	if opts.Predict {
-		healthy := make([]*core.Result, 0, len(run.Scenarios))
-		for _, sr := range run.Scenarios {
-			healthy = append(healthy, sr.Result)
-		}
-		run.Predict = BuildSuitePredict(labels, healthy)
+		run.Predict = BuildSuitePredict(labels, results)
 	}
 	if opts.Static {
 		run.Static = crossValidateSuite(run, opts.Jobs, reg)
 	}
 	publishSuiteMetrics(reg, run)
-	return run, nil
+	return run
+}
+
+// Harmful reports whether the run holds any potentially harmful
+// verdict, observed or predicted — the batch commands' exit-1 condition.
+func (r *SuiteRun) Harmful() bool {
+	if _, harmful := r.Merged.CountByVerdict(); harmful > 0 {
+		return true
+	}
+	if r.Predict != nil && r.Predict.Merged != nil {
+		_, harmful := r.Predict.Merged.CountByVerdict()
+		return harmful > 0
+	}
+	return false
 }
 
 // runNative executes prog on a bare machine — no observer, no recorder —

@@ -456,9 +456,6 @@ func OverheadLadder(snap MetricsSnapshot) string { return report.OverheadLadder(
 // (nil file renders nothing).
 func AuditSection(f *AuditFile) string { return report.AuditSection(f) }
 
-// NewAuditFile returns an empty verdict-provenance envelope.
-func NewAuditFile() *AuditFile { return audit.NewFile() }
-
 // LogDigest is the hex SHA-256 of a log's canonical serialization — the
 // content identity audit records attach replay verdicts to.
 func LogDigest(log *Log) string { return core.LogDigest(log) }

@@ -100,14 +100,18 @@ func Detect(exec *replay.Execution) *Report {
 // detect.* counters (addresses indexed, region pairs examined vs.
 // conflicting, races and instances found); nil is off.
 func DetectIndex(x *Index, reg *obs.Registry) *Report {
-	return detect(x, func(a, b *replay.Region) bool { return a.Overlaps(b) }, reg)
+	return detect(x, func(a, b *replay.Region) bool { return a.Overlaps(b) }, true, reg)
 }
 
 // detect is the shared conflict search, parameterized by the concurrency
 // test on region pairs. It compares every pair of an address's region
-// groups; instance dedup is a linear scan over the handful of site pairs
-// one region pair can emit (no global map churn).
-func detect(x *Index, concurrent func(a, b *replay.Region) bool, reg *obs.Registry) *Report {
+// groups, or with sweep, sweeps them as intervals: groups arrive in
+// StartTS order, so once a later group starts at or after the current
+// one's end, no group after it overlaps the current one either. Only the
+// interval test may sweep; clock order is not interval order. Instance
+// dedup is a linear scan over the handful of site pairs one region pair
+// can emit (no global map churn).
+func detect(x *Index, concurrent func(a, b *replay.Region) bool, sweep bool, reg *obs.Registry) *Report {
 	races := make(map[SitePair]*Race)
 	total := 0
 	var pairsExamined, pairsConflicting uint64
@@ -125,6 +129,9 @@ func detect(x *Index, concurrent func(a, b *replay.Region) bool, reg *obs.Regist
 			for j := i + 1; j < len(groups); j++ {
 				ga, gb := &groups[i], &groups[j]
 				pairsExamined++
+				if sweep && gb.Reg.StartTS >= ga.Reg.EndTS {
+					break
+				}
 				if ga.Reg.TID == gb.Reg.TID || !concurrent(ga.Reg, gb.Reg) {
 					continue
 				}
@@ -183,7 +190,7 @@ func DetectVC(exec *replay.Execution, reg *obs.Registry) (*Report, error) {
 	}
 	return detect(NewIndex(exec), func(a, b *replay.Region) bool {
 		return clocks[a.Global].Concurrent(clocks[b.Global])
-	}, reg), nil
+	}, false, reg), nil
 }
 
 // RegionClocks computes one vector clock per region (indexed by

@@ -1,6 +1,9 @@
 package hb_test
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,9 +11,11 @@ import (
 	"repro/internal/hb"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/progen"
 	"repro/internal/record"
 	"repro/internal/replay"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func analyze(t *testing.T, src string, seed int64) (*replay.Execution, *hb.Report) {
@@ -502,5 +507,120 @@ worker:
 	}
 	if got := reg.Snapshot().Counters["detect.executions"]; got != 2 {
 		t.Errorf("detect.executions after VC pass = %d, want 2", got)
+	}
+}
+
+// allPairsDetect is the reference the interval sweep is checked against:
+// every pair of every address's region groups, tested with Overlaps,
+// with the detector's per-region-pair site dedup. It returns the races
+// sorted by site pair and the number of pairs that overlapped.
+func allPairsDetect(x *hb.Index) ([]*hb.Race, int) {
+	races := map[hb.SitePair]*hb.Race{}
+	var order []*hb.Race
+	overlapping := 0
+	var scratch hb.GroupScratch
+	for ai, addr := range x.Addrs {
+		groups := x.Groups(ai, &scratch)
+		for i := range groups {
+			for j := i + 1; j < len(groups); j++ {
+				ga, gb := &groups[i], &groups[j]
+				if !ga.Reg.Overlaps(gb.Reg) {
+					continue
+				}
+				overlapping++
+				var emitted []hb.SitePair
+				ga.Conflicts(gb, func(a, b replay.Access) {
+					sites := hb.MakeSitePair(x.Site(a.PC), x.Site(b.PC))
+					if slices.Contains(emitted, sites) {
+						return
+					}
+					emitted = append(emitted, sites)
+					race := races[sites]
+					if race == nil {
+						race = &hb.Race{Sites: sites}
+						races[sites] = race
+						order = append(order, race)
+					}
+					race.Instances = append(race.Instances, hb.Instance{
+						First: a, Second: b, RegionA: ga.Reg, RegionB: gb.Reg, Addr: addr,
+					})
+				})
+			}
+		}
+	}
+	slices.SortFunc(order, func(a, b *hb.Race) int {
+		return cmp.Or(strings.Compare(a.Sites.A, b.Sites.A), strings.Compare(a.Sites.B, b.Sites.B))
+	})
+	return order, overlapping
+}
+
+// TestDetectSweepMatchesAllPairs pins the interval sweep in DetectIndex
+// to the all-pairs search it replaced: the same races with the same
+// instance lists, in order, on progen programs and suite scenarios, and
+// a region_pairs_conflicting count equal to the overlapping pairs.
+func TestDetectSweepMatchesAllPairs(t *testing.T) {
+	var execs []*replay.Execution
+	r := rand.New(rand.NewSource(20261018))
+	for trial := 0; trial < 128; trial++ {
+		prog, err := asm.Assemble("gen", progen.Generate(r, progen.BitsConfig(uint8(trial*2+1), r)))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		log, _, _, err := record.Run(prog, machine.Config{Seed: int64(trial + 1)}, record.OnlineConfig{}, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		exec, err := replay.Run(log, replay.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		execs = append(execs, exec)
+	}
+	for _, name := range []string{"exec01", "exec07", "exec12", "browse"} {
+		s, err := workloads.FindScenario(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := s.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, _, _, err := record.Run(prog, s.Config(), record.OnlineConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := replay.Run(log, replay.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs = append(execs, exec)
+	}
+	racy := 0
+	for n, exec := range execs {
+		x := hb.NewIndex(exec)
+		reg := obs.NewRegistry()
+		got := hb.DetectIndex(x, reg)
+		want, overlapping := allPairsDetect(x)
+		if len(got.Races) != len(want) {
+			t.Fatalf("execution %d: sweep found %d races, all-pairs %d", n, len(got.Races), len(want))
+		}
+		for i, race := range got.Races {
+			if race.Sites != want[i].Sites {
+				t.Fatalf("execution %d race %d: sweep %v, all-pairs %v", n, i, race.Sites, want[i].Sites)
+			}
+			if !slices.Equal(race.Instances, want[i].Instances) {
+				t.Fatalf("execution %d race %v: instance lists differ (%d vs %d)",
+					n, race.Sites, len(race.Instances), len(want[i].Instances))
+			}
+		}
+		if c := reg.Snapshot().Counters["detect.region_pairs_conflicting"]; c != uint64(overlapping) {
+			t.Fatalf("execution %d: region_pairs_conflicting = %d, all-pairs overlapping = %d", n, c, overlapping)
+		}
+		if len(want) > 0 {
+			racy++
+		}
+	}
+	if racy == 0 {
+		t.Fatal("no execution raced; the comparison is vacuous")
 	}
 }

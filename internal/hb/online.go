@@ -1,13 +1,14 @@
 package hb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // Online is a machine.Observer that runs the paper's region-overlap race
@@ -33,18 +34,40 @@ import (
 // Every offline pair is screened online when its later access executes,
 // so "no race found online" and "no race found offline" coincide.
 //
-// Per-thread vector clocks (internal/vclock) are carried alongside the
-// intervals: each region ticks its thread's clock, and a spawn joins the
-// parent's clock into the child. Happens-before implies non-overlap, so
-// the clock comparison is a sound prune that skips the window scan for
-// ordered pairs (counted on detect.online.hb_pruned); it can never flip
-// the verdict.
+// Each address keeps one record per (thread, pc, read/write) class,
+// pointing at the newest region in which that class accessed it; a
+// repeat access from a later region overwrites the record instead of
+// adding one. This loses nothing: a thread's regions are consecutive, so
+// its newest region ends no earlier than any older one (or is still
+// open), and an access that overlaps an older region of the class also
+// overlaps the newest — with the same pc, hence the same site pair. A
+// thread looping over shared data therefore costs one record per class,
+// not one per region, and each access scans only the classes that could
+// race with it.
+//
+// Races are reported in the order a per-region window scan would meet
+// them: by the insertion ordinal of the oldest overlapping region of each
+// class. Each record keeps its class's older regions that may still
+// overlap (end and ordinal only), consulted by binary search when an
+// access finds a site pair not yet reported — so the race list, and with
+// it StopOnFirstRace truncation and the maxOnlineRaces cut, do not depend
+// on the compression.
 //
 // A watermark sweep keeps the window bounded: once every closed region's
 // end falls at or below the minimum open-region start across live
 // threads, no future access can overlap it and its records are evicted.
+// A thread blocked in lock or join does not hold the watermark back: it
+// makes no access until the blocking instruction retires, and that
+// retirement is a sequencer, so its next access lies in a region that
+// starts after every region closed so far. The watermark is refreshed
+// every sweepEvery sequencers, but the window is walked only once it has
+// doubled since the last walk, so eviction costs O(1) amortized per
+// record.
+//
+// Records live in one slab, chained per address; an evicted record's
+// slot, with its older-region buffer, is reused by the next new class,
+// so a window that has reached its peak size allocates no more records.
 type Online struct {
-	prog  *isa.Program
 	table *SiteTable
 	reg   *obs.Registry
 
@@ -52,55 +75,76 @@ type Online struct {
 	stop       bool
 
 	threads map[int]*onlineThread
-	window  map[uint64][]onlineRec // addr -> live access records
-	recs    int                    // total records across the window
-
-	// pendingSpawn links a spawn edge: ThreadStarted(child, startTS)
-	// arrives before the parent's Sequencer with ts == startTS, so the
-	// child parks here until the parent's clock is known.
-	pendingSpawn map[uint64]*onlineThread
+	window  map[uint64]int32 // addr -> first of its class records in slab
+	slab    []onlineRec      // class records, chained per address by next
+	free    int32            // first unused slab slot, -1 if none
+	recs    int              // class records across the window
+	older   int              // older-region entries across the records
+	swept   int              // recs+older the last sweep left
+	nextSeq uint64           // insertion ordinal of the next class region
 
 	races      map[SitePair]struct{}
 	raceOrder  []SitePair
 	pcSeen     []bool // data-access PCs observed (atomic included)
 	pcCount    int
 	seqs       uint64 // sequencer events, drives the eviction sweep
+	watermark  uint64 // minimum open-region start, as of the last refresh
 	checked    uint64 // candidate pairs screened
-	hbPruned   uint64 // pairs skipped because vector clocks ordered them
 	evicted    uint64 // records reclaimed by watermark sweeps
 	sweeps     uint64
 	windowPeak int
 }
 
 // onlineRegion is one sequencing region: the half-open timestamp interval
-// a thread executes between two of its sequencers. vc is the thread's
-// vector clock for this region; it is mutated in place only between a
-// child's ThreadStarted and its parent's spawn sequencer, before the
-// child can execute an access.
+// a thread executes between two of its sequencers.
 type onlineRegion struct {
-	tid   int
 	start uint64
 	end   uint64 // 0 while the region is open
-	vc    vclock.VC
 }
 
-// onlineRec is one access record in the window: the oldest-region access
-// of its (address, region, write-ness, pc) class. Later identical
-// accesses in the same region are deduplicated away.
+// onlineRec is one access class in the window: thread tid accessed the
+// address at pc with the given write-ness, most recently in region reg.
 type onlineRec struct {
 	reg     *onlineRegion
+	seq     uint64      // insertion ordinal of the class's access in reg
+	older   []regionSeq // earlier regions that may still overlap, oldest first
+	next    int32       // next record of the address (or free slot), -1 at the end
+	tid     int
 	pc      int
 	isWrite bool
 }
 
+// regionSeq is a closed region of a class: its end and the insertion
+// ordinal of the class's access in it.
+type regionSeq struct{ end, seq uint64 }
+
+// firstOverlap returns the insertion ordinal of the class's oldest region
+// that overlaps a region opened at start. Ends grow with the ordinal, so
+// the overlapping regions are a suffix ending at the newest.
+func (r *onlineRec) firstOverlap(start uint64) uint64 {
+	i := sort.Search(len(r.older), func(i int) bool { return r.older[i].end > start })
+	if i < len(r.older) {
+		return r.older[i].seq
+	}
+	return r.seq
+}
+
+// freshRace is a site pair one access found before it was reported, keyed
+// by the ordinal it is reported in.
+type freshRace struct {
+	seq   uint64
+	sites SitePair
+}
+
 type onlineThread struct {
-	tid   int
 	cur   *onlineRegion
+	m     *machine.Thread // the machine's thread, polled for blocking
 	ended bool
 }
 
-// sweepEvery is the eviction cadence in sequencer events. Sweeps are
-// driven by event counts, never wall time, so runs remain deterministic.
+// sweepEvery is the watermark refresh cadence in sequencer events. Sweeps
+// are driven by event counts, never wall time, so runs remain
+// deterministic.
 const sweepEvery = 64
 
 // maxOnlineRaces bounds the distinct site pairs retained for the report;
@@ -112,29 +156,21 @@ const maxOnlineRaces = 1024
 // which a machine polls at quantum boundaries (machine.Stopper).
 func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 	return &Online{
-		prog:         prog,
-		table:        Sites(prog),
-		reg:          reg,
-		stopOnRace:   stopOnRace,
-		threads:      make(map[int]*onlineThread),
-		window:       make(map[uint64][]onlineRec),
-		pendingSpawn: make(map[uint64]*onlineThread),
-		races:        make(map[SitePair]struct{}),
-		pcSeen:       make([]bool, len(prog.Code)),
+		table:      Sites(prog),
+		reg:        reg,
+		stopOnRace: stopOnRace,
+		threads:    make(map[int]*onlineThread),
+		window:     make(map[uint64]int32),
+		free:       -1,
+		races:      make(map[SitePair]struct{}),
+		pcSeen:     make([]bool, len(prog.Code)),
 	}
 }
 
 // ThreadStarted implements machine.Observer. The child's first region
-// opens at the spawn timestamp; its clock is completed when the parent's
-// spawn sequencer (same timestamp) fires, before the child can run.
+// opens at the spawn timestamp.
 func (o *Online) ThreadStarted(t *machine.Thread, startTS uint64) {
-	th := &onlineThread{tid: t.ID}
-	vc := vclock.New(t.ID + 1).Tick(t.ID)
-	th.cur = &onlineRegion{tid: t.ID, start: startTS, vc: vc}
-	o.threads[t.ID] = th
-	if startTS > 0 {
-		o.pendingSpawn[startTS] = th
-	}
+	o.threads[t.ID] = &onlineThread{cur: &onlineRegion{start: startTS}, m: t}
 }
 
 // ThreadEnded implements machine.Observer.
@@ -148,25 +184,25 @@ func (o *Online) ThreadEnded(t *machine.Thread, endTS uint64) {
 }
 
 // Sequencer implements machine.Observer: it closes the current region and
-// opens the next. A spawn sequencer additionally completes the parked
-// child's clock with the parent's — taken *before* the parent ticks for
-// its next region, so the parent's post-spawn regions stay concurrent
-// with the child while everything up to the spawn happens-before it.
+// opens the next.
 func (o *Online) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
 	th := o.threads[tid]
 	if th == nil || th.ended {
 		return
 	}
 	th.cur.end = ts
-	if child, ok := o.pendingSpawn[ts]; ok && child.tid != tid {
-		child.cur.vc = child.cur.vc.Join(th.cur.vc)
-		delete(o.pendingSpawn, ts)
-	}
-	vc := th.cur.vc.Clone().Tick(tid)
-	th.cur = &onlineRegion{tid: tid, start: ts, vc: vc}
+	th.cur = &onlineRegion{start: ts}
 	o.seqs++
 	if o.seqs%sweepEvery == 0 {
-		o.sweep()
+		o.watermark = ^uint64(0)
+		for _, th := range o.threads {
+			if !th.ended && !blocked(th.m.State) && th.cur.start < o.watermark {
+				o.watermark = th.cur.start
+			}
+		}
+		if o.recs+o.older >= 2*o.swept {
+			o.sweep()
+		}
 	}
 }
 
@@ -205,22 +241,24 @@ func (o *Online) access(tid, pc int, addr uint64, atomic, isWrite bool) {
 		return
 	}
 	cur := th.cur
-	recs := o.window[addr]
-	for i := range recs {
-		rec := &recs[i]
-		if rec.reg.tid == tid {
+	head, ok := o.window[addr]
+	if !ok {
+		head = -1
+	}
+	own := int32(-1)
+	var fresh []freshRace
+	for i := head; i >= 0; i = o.slab[i].next {
+		rec := &o.slab[i]
+		if rec.tid == tid {
+			if rec.pc == pc && rec.isWrite == isWrite {
+				own = i
+			}
 			continue
 		}
 		if !isWrite && !rec.isWrite {
 			continue
 		}
 		o.checked++
-		// Sound prune: an HB-ordered pair cannot overlap (the edge chain
-		// only exists because the earlier region closed first).
-		if rec.reg.vc.HappensBefore(cur.vc) {
-			o.hbPruned++
-			continue
-		}
 		// The decisive interval test. rec's region is either still open
 		// (trivial overlap: both are running now) or closed at rec.end;
 		// the current region began at cur.start and has no end yet, so
@@ -228,26 +266,49 @@ func (o *Online) access(tid, pc int, addr uint64, atomic, isWrite bool) {
 		if rec.reg.end != 0 && cur.start >= rec.reg.end {
 			continue
 		}
-		o.foundRace(rec.pc, pc)
-	}
-	// Record this access unless an identical one from the same region is
-	// already present: same region+pc+write-ness screens the same future
-	// pairs, so duplicates add nothing.
-	for i := range recs {
-		rec := &recs[i]
-		if rec.reg == cur && rec.pc == pc && rec.isWrite == isWrite {
-			return
+		sites := MakeSitePair(o.table.Site(rec.pc), o.table.Site(pc))
+		if _, ok := o.races[sites]; !ok {
+			fresh = append(fresh, freshRace{seq: rec.firstOverlap(cur.start), sites: sites})
 		}
 	}
-	o.window[addr] = append(recs, onlineRec{reg: cur, pc: pc, isWrite: isWrite})
+	if len(fresh) > 0 {
+		// In the order a per-region window scan would have met them.
+		slices.SortFunc(fresh, func(a, b freshRace) int { return cmp.Compare(a.seq, b.seq) })
+		for _, f := range fresh {
+			o.foundRace(f.sites)
+		}
+	}
+	// This access becomes its class's newest region: it screens every
+	// future pair an older region of the class would have.
+	if own >= 0 {
+		rec := &o.slab[own]
+		if rec.reg != cur {
+			if rec.reg.end > o.watermark {
+				rec.older = append(rec.older, regionSeq{end: rec.reg.end, seq: rec.seq})
+				o.older++
+			}
+			rec.reg, rec.seq = cur, o.nextSeq
+			o.nextSeq++
+		}
+		return
+	}
+	i := o.free
+	if i >= 0 {
+		o.free = o.slab[i].next
+	} else {
+		i = int32(len(o.slab))
+		o.slab = append(o.slab, onlineRec{})
+	}
+	o.slab[i] = onlineRec{reg: cur, seq: o.nextSeq, older: o.slab[i].older[:0], next: head, tid: tid, pc: pc, isWrite: isWrite}
+	o.window[addr] = i
+	o.nextSeq++
 	o.recs++
 	if o.recs > o.windowPeak {
 		o.windowPeak = o.recs
 	}
 }
 
-func (o *Online) foundRace(pcA, pcB int) {
-	sites := MakeSitePair(o.table.Site(pcA), o.table.Site(pcB))
+func (o *Online) foundRace(sites SitePair) {
 	if _, ok := o.races[sites]; ok {
 		return
 	}
@@ -269,36 +330,43 @@ func (o *Online) foundRace(pcA, pcB int) {
 // ever checks against it will start at or above that end.
 func (o *Online) sweep() {
 	o.sweeps++
-	watermark := ^uint64(0)
-	live := false
-	for _, th := range o.threads {
-		if th.ended {
-			continue
-		}
-		live = true
-		if th.cur.start < watermark {
-			watermark = th.cur.start
-		}
-	}
-	if !live {
-		watermark = ^uint64(0)
-	}
-	for addr, recs := range o.window {
-		kept := recs[:0]
-		for _, rec := range recs {
+	watermark := o.watermark
+	for addr, head := range o.window {
+		link := &head
+		for i := head; i >= 0; i = *link {
+			rec := &o.slab[i]
 			if rec.reg.end != 0 && rec.reg.end <= watermark {
 				o.evicted++
 				o.recs--
+				o.older -= len(rec.older)
+				*link = rec.next
+				*rec = onlineRec{older: rec.older[:0], next: o.free}
+				o.free = i
 				continue
 			}
-			kept = append(kept, rec)
+			dead := 0
+			for dead < len(rec.older) && rec.older[dead].end <= watermark {
+				dead++
+			}
+			if dead > 0 {
+				rec.older = append(rec.older[:0], rec.older[dead:]...)
+				o.older -= dead
+			}
+			link = &rec.next
 		}
-		if len(kept) == 0 {
+		if head < 0 {
 			delete(o.window, addr)
 		} else {
-			o.window[addr] = kept
+			o.window[addr] = head
 		}
 	}
+	o.swept = o.recs + o.older
+}
+
+// blocked reports whether a thread in state s is waiting in lock or join,
+// the only instructions that block (both are sequencers).
+func blocked(s machine.ThreadState) bool {
+	return s == machine.BlockedLock || s == machine.BlockedJoin
 }
 
 // OnlineReport is the detector's summary after the run.
@@ -306,8 +374,6 @@ type OnlineReport struct {
 	RaceFree bool
 	Races    []SitePair // distinct racy site pairs, in discovery order
 	Stopped  bool       // StopOnFirstRace truncated the run
-	Checked  uint64     // candidate pairs screened
-	HBPruned uint64     // pairs skipped by the vector-clock prune
 }
 
 // ObservedPCs returns the sorted code indices that performed data
@@ -319,7 +385,6 @@ func (o *Online) ObservedPCs() []int {
 			pcs = append(pcs, pc)
 		}
 	}
-	sort.Ints(pcs)
 	return pcs
 }
 
@@ -331,8 +396,6 @@ func (o *Online) Report(stopped bool) *OnlineReport {
 		RaceFree: len(o.races) == 0,
 		Races:    o.raceOrder,
 		Stopped:  stopped,
-		Checked:  o.checked,
-		HBPruned: o.hbPruned,
 	}
 	if r := o.reg; r != nil {
 		r.Counter("detect.online.executions").Inc()
@@ -341,7 +404,6 @@ func (o *Online) Report(stopped bool) *OnlineReport {
 			r.Counter("detect.online.race_free").Inc()
 		}
 		r.Counter("detect.online.pairs_checked").Add(o.checked)
-		r.Counter("detect.online.hb_pruned").Add(o.hbPruned)
 		r.Counter("detect.online.evicted").Add(o.evicted)
 		r.Counter("detect.online.sweeps").Add(o.sweeps)
 		r.Gauge("detect.online.window_peak").Set(float64(o.windowPeak))
@@ -356,16 +418,11 @@ func (o *Online) Report(stopped bool) *OnlineReport {
 // Info converts the report into the trace.Log annotation consumed by the
 // analysis fast path.
 func (o *Online) Info(stopped bool) *trace.OnlineInfo {
-	return &trace.OnlineInfo{
-		RaceFree: len(o.races) == 0,
-		Races:    len(o.races),
-		Stopped:  stopped,
-		ObservedPCs: func() []int {
-			if len(o.races) > 0 {
-				// The full offline pass runs anyway; skip the copy.
-				return nil
-			}
-			return o.ObservedPCs()
-		}(),
+	info := &trace.OnlineInfo{RaceFree: len(o.races) == 0, Races: len(o.races), Stopped: stopped}
+	if info.RaceFree {
+		// A raced run takes the full offline pass anyway; only the fast
+		// path needs the sites.
+		info.ObservedPCs = o.ObservedPCs()
 	}
+	return info
 }
